@@ -8,9 +8,7 @@
 // "values" keys named crypto_*_ops_per_sec, which report_check --baseline
 // gates against the committed BENCH_crypto.json exactly like the scale
 // sweep is gated by BENCH_scale.json.
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -26,87 +24,19 @@
 #include "report_util.hpp"
 #include "systems/channel.hpp"
 
-namespace {
-
 using namespace dcpl;
 using namespace dcpl::crypto;
-
-/// Defeats dead-code elimination without google-benchmark: fold a byte of
-/// every result into a sink the compiler must assume is read.
-volatile std::uint8_t g_sink = 0;
-
-inline void consume(BytesView b) {
-  if (!b.empty()) g_sink = static_cast<std::uint8_t>(g_sink ^ b[0] ^ b.back());
-}
-
-inline void consume(std::uint64_t v) {
-  g_sink = static_cast<std::uint8_t>(g_sink ^ v);
-}
-
-struct OpResult {
-  std::string name;
-  std::uint64_t iters = 0;
-  double ns_per_op = 0;
-  double ops_per_sec = 0;
-  double mb_per_sec = 0;  // 0 when the op has no natural byte count
-};
-
-/// Self-calibrating timer: doubles the batch size until one batch spends at
-/// least `budget_ms` of wall time, then reports that batch. The doubling
-/// warms caches and branch predictors, so the measured batch is steady
-/// state.
-template <typename Fn>
-OpResult time_op(const std::string& name, std::uint64_t bytes_per_op,
-                 double budget_ms, Fn&& fn) {
-  using clock = std::chrono::steady_clock;
-  std::uint64_t iters = 1;
-  double elapsed_ns = 0;
-  for (;;) {
-    const auto t0 = clock::now();
-    for (std::uint64_t i = 0; i < iters; ++i) fn(i);
-    elapsed_ns =
-        std::chrono::duration<double, std::nano>(clock::now() - t0).count();
-    if (elapsed_ns >= budget_ms * 1e6 || iters >= (1ull << 22)) break;
-    iters *= 2;
-  }
-  OpResult r;
-  r.name = name;
-  r.iters = iters;
-  r.ns_per_op = elapsed_ns / static_cast<double>(iters);
-  r.ops_per_sec = r.ns_per_op > 0 ? 1e9 / r.ns_per_op : 0;
-  if (bytes_per_op > 0) {
-    r.mb_per_sec =
-        r.ops_per_sec * static_cast<double>(bytes_per_op) / (1024.0 * 1024.0);
-  }
-  return r;
-}
-
-void print_row(const OpResult& r) {
-  if (r.mb_per_sec > 0) {
-    std::printf("  %-28s %12.1f ns/op %14.0f ops/s %10.1f MiB/s\n",
-                r.name.c_str(), r.ns_per_op, r.ops_per_sec, r.mb_per_sec);
-  } else {
-    std::printf("  %-28s %12.1f ns/op %14.0f ops/s\n", r.name.c_str(),
-                r.ns_per_op, r.ops_per_sec);
-  }
-}
-
-}  // namespace
+using bench::consume;
 
 int main(int argc, char** argv) {
   bench::Report report("bench_crypto", argc, argv);
-  double budget_ms = 120.0;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--budget-ms") == 0) {
-      budget_ms = std::strtod(argv[i + 1], nullptr);
-    }
-  }
+  const double budget_ms = bench::budget_ms_arg(argc, argv, 120.0);
 
-  std::vector<OpResult> ops;
+  std::vector<bench::TimedOp> ops;
   auto run = [&](const std::string& name, std::uint64_t bytes_per_op,
                  auto&& fn) {
-    ops.push_back(time_op(name, bytes_per_op, budget_ms, fn));
-    print_row(ops.back());
+    ops.push_back(bench::time_op(name, bytes_per_op, budget_ms, fn));
+    bench::print_timed_op(ops.back());
     report.value("crypto_" + name + "_ops_per_sec", ops.back().ops_per_sec);
     return ops.back().ops_per_sec;
   };
@@ -159,6 +89,9 @@ int main(int argc, char** argv) {
     run("x25519", 0, [&](std::uint64_t) {
       consume(x25519(kp.private_key, peer.public_key));
     });
+    // The key-generation path: the fixed-base comb on the base point.
+    run("x25519_base", 0,
+        [&](std::uint64_t) { consume(x25519_public(kp.private_key)); });
   }
 
   // --- HPKE: per-message KEM vs amortized session context -------------------
@@ -228,7 +161,7 @@ int main(int argc, char** argv) {
   report.value("crypto_fused_seal_gain_x", fused_gain);
 
   bool ok = true;
-  for (const OpResult& r : ops) {
+  for (const bench::TimedOp& r : ops) {
     ok &= report.check("crypto_" + r.name + "_measured",
                        r.iters > 0 && r.ops_per_sec > 0);
   }
@@ -244,7 +177,7 @@ int main(int argc, char** argv) {
     w.kv("budget_ms", budget_ms);
     w.key("ops");
     w.begin_object();
-    for (const OpResult& r : ops) {
+    for (const bench::TimedOp& r : ops) {
       w.key(r.name);
       w.begin_object();
       w.kv("iters", r.iters);

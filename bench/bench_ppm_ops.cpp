@@ -1,93 +1,87 @@
-// PPM hot-path microbenchmarks (google-benchmark): field ops, sharing, and
-// the client-side cost of a sealed submission as the aggregator count grows
-// — the CPU-side complement to E2's message-count sweep.
-#include <benchmark/benchmark.h>
-
-#include <cstring>
+// E6: PPM hot-path costs — field ops, sharing, and the client-side cost of
+// a sealed submission as the aggregator count grows; the CPU-side
+// complement to E2's message-count sweep.
+//
+// Self-timed like bench_crypto (--budget-ms per op). Emits the shared
+// dcpl-bench-report/2 schema with flat "values" keys named
+// ppm_*_ops_per_sec.
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "crypto/csprng.hpp"
 #include "hpke/hpke.hpp"
+#include "report_util.hpp"
 #include "systems/ppm/field.hpp"
-
-namespace {
 
 using namespace dcpl;
 using namespace dcpl::systems::ppm;
+using bench::consume;
 
-void BM_FieldMul(benchmark::State& state) {
-  crypto::ChaChaRng rng(1);
-  Fp a = Fp::random(rng), b = Fp::random(rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a = a * b);
-  }
-}
-BENCHMARK(BM_FieldMul);
-
-void BM_ShareValue(benchmark::State& state) {
-  crypto::ChaChaRng rng(2);
-  const auto k = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(share_value(Fp{1}, k, rng));
-  }
-}
-BENCHMARK(BM_ShareValue)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_CombineShares(benchmark::State& state) {
-  crypto::ChaChaRng rng(3);
-  auto shares = share_value(Fp{1}, static_cast<std::size_t>(state.range(0)),
-                            rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(combine_shares(shares));
-  }
-}
-BENCHMARK(BM_CombineShares)->Arg(2)->Arg(8);
-
-// Full client-side submission cost: k sharings + k HPKE seals.
-void BM_ClientSubmission(benchmark::State& state) {
-  crypto::ChaChaRng rng(4);
-  const auto k = static_cast<std::size_t>(state.range(0));
-  std::vector<dcpl::hpke::KeyPair> keys;
-  for (std::size_t i = 0; i < k; ++i) {
-    keys.push_back(dcpl::hpke::KeyPair::generate(rng));
-  }
-  for (auto _ : state) {
-    auto x_shares = share_value(Fp{1}, k, rng);
-    auto x2_shares = share_value(Fp{1}, k, rng);
-    for (std::size_t i = 0; i < k; ++i) {
-      Bytes inner = concat({be_encode(x_shares[i].value(), 8),
-                            be_encode(x2_shares[i].value(), 8)});
-      benchmark::DoNotOptimize(
-          dcpl::hpke::seal(keys[i].public_key, {}, {}, inner, rng));
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ClientSubmission)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-}  // namespace
-
-// google-benchmark's own driver, plus a --json alias so every bench binary
-// in this repo shares one machine-readable-output flag.
 int main(int argc, char** argv) {
-  std::vector<std::string> args;
-  args.reserve(static_cast<std::size_t>(argc) + 1);
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      args.push_back(std::string("--benchmark_out=") + argv[i + 1]);
-      args.push_back("--benchmark_out_format=json");
-      ++i;
-    } else {
-      args.push_back(argv[i]);
+  bench::Report report("bench_ppm_ops", argc, argv);
+  const double budget_ms = bench::budget_ms_arg(argc, argv, 120.0);
+
+  std::vector<bench::TimedOp> ops;
+  auto run = [&](const std::string& name, auto&& fn) {
+    ops.push_back(bench::time_op(name, 0, budget_ms, fn));
+    bench::print_timed_op(ops.back());
+    report.value("ppm_" + name + "_ops_per_sec", ops.back().ops_per_sec);
+  };
+
+  std::printf("== PPM hot path (budget %.0f ms/op)\n", budget_ms);
+
+  {
+    crypto::ChaChaRng rng(1);
+    Fp a = Fp::random(rng), b = Fp::random(rng);
+    run("field_mul", [&](std::uint64_t) {
+      a = a * b;
+      consume(a.value());
+    });
+  }
+
+  {
+    crypto::ChaChaRng rng(2);
+    for (std::size_t k : {2, 4, 8}) {
+      run("share_value_k" + std::to_string(k), [&](std::uint64_t) {
+        consume(share_value(Fp{1}, k, rng).back().value());
+      });
     }
   }
-  std::vector<char*> cargs;
-  for (auto& a : args) cargs.push_back(a.data());
-  int cargc = static_cast<int>(cargs.size());
-  benchmark::Initialize(&cargc, cargs.data());
-  if (benchmark::ReportUnrecognizedArguments(cargc, cargs.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+
+  {
+    crypto::ChaChaRng rng(3);
+    for (std::size_t k : {2, 8}) {
+      const auto shares = share_value(Fp{1}, k, rng);
+      run("combine_shares_k" + std::to_string(k),
+          [&](std::uint64_t) { consume(combine_shares(shares).value()); });
+    }
+  }
+
+  // Full client-side submission cost: 2k sharings + k HPKE seals.
+  {
+    crypto::ChaChaRng rng(4);
+    for (std::size_t k : {1, 2, 4, 8}) {
+      std::vector<hpke::KeyPair> keys;
+      for (std::size_t i = 0; i < k; ++i) {
+        keys.push_back(hpke::KeyPair::generate(rng));
+      }
+      run("client_submission_k" + std::to_string(k), [&](std::uint64_t) {
+        auto x_shares = share_value(Fp{1}, k, rng);
+        auto x2_shares = share_value(Fp{1}, k, rng);
+        for (std::size_t i = 0; i < k; ++i) {
+          Bytes inner = concat({be_encode(x_shares[i].value(), 8),
+                                be_encode(x2_shares[i].value(), 8)});
+          consume(hpke::seal(keys[i].public_key, {}, {}, inner, rng));
+        }
+      });
+    }
+  }
+
+  bool ok = true;
+  for (const bench::TimedOp& r : ops) {
+    ok &= report.check("ppm_" + r.name + "_measured",
+                       r.iters > 0 && r.ops_per_sec > 0);
+  }
+  return report.finish(ok);
 }

@@ -79,12 +79,15 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "core/analysis.hpp"
 #include "net/faults.hpp"
 #include "net/profile.hpp"
@@ -536,5 +539,78 @@ class Report {
   std::string profile_json_;
   std::vector<std::pair<std::string, std::string>> sections_;
 };
+
+// ---- Self-timed microbenchmarks (bench_crypto, bench_ppm_ops) -------------
+
+/// Defeats dead-code elimination in a timed loop: fold a byte of every
+/// result into a sink the compiler must assume is read.
+inline volatile std::uint8_t g_sink = 0;
+
+inline void consume(BytesView b) {
+  if (!b.empty()) g_sink = static_cast<std::uint8_t>(g_sink ^ b[0] ^ b.back());
+}
+
+inline void consume(std::uint64_t v) {
+  g_sink = static_cast<std::uint8_t>(g_sink ^ v);
+}
+
+/// One timed operation's result.
+struct TimedOp {
+  std::string name;
+  std::uint64_t iters = 0;
+  double ns_per_op = 0;
+  double ops_per_sec = 0;
+  double mb_per_sec = 0;  // 0 when the op has no natural byte count
+};
+
+/// Self-calibrating timer: doubles the batch size until one batch spends at
+/// least `budget_ms` of wall time, then reports that batch. The doubling
+/// warms caches and branch predictors, so the measured batch is steady
+/// state.
+template <typename Fn>
+TimedOp time_op(const std::string& name, std::uint64_t bytes_per_op,
+                double budget_ms, Fn&& fn) {
+  using clock = std::chrono::steady_clock;
+  std::uint64_t iters = 1;
+  double elapsed_ns = 0;
+  for (;;) {
+    const auto t0 = clock::now();
+    for (std::uint64_t i = 0; i < iters; ++i) fn(i);
+    elapsed_ns =
+        std::chrono::duration<double, std::nano>(clock::now() - t0).count();
+    if (elapsed_ns >= budget_ms * 1e6 || iters >= (1ull << 22)) break;
+    iters *= 2;
+  }
+  TimedOp r;
+  r.name = name;
+  r.iters = iters;
+  r.ns_per_op = elapsed_ns / static_cast<double>(iters);
+  r.ops_per_sec = r.ns_per_op > 0 ? 1e9 / r.ns_per_op : 0;
+  if (bytes_per_op > 0) {
+    r.mb_per_sec =
+        r.ops_per_sec * static_cast<double>(bytes_per_op) / (1024.0 * 1024.0);
+  }
+  return r;
+}
+
+inline void print_timed_op(const TimedOp& r) {
+  if (r.mb_per_sec > 0) {
+    std::printf("  %-28s %12.1f ns/op %14.0f ops/s %10.1f MiB/s\n",
+                r.name.c_str(), r.ns_per_op, r.ops_per_sec, r.mb_per_sec);
+  } else {
+    std::printf("  %-28s %12.1f ns/op %14.0f ops/s\n", r.name.c_str(),
+                r.ns_per_op, r.ops_per_sec);
+  }
+}
+
+/// The per-op wall budget: `--budget-ms <ms>`, else `fallback`.
+inline double budget_ms_arg(int argc, char** argv, double fallback) {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], "--budget-ms") == 0) {
+      return std::strtod(argv[i + 1], nullptr);
+    }
+  }
+  return fallback;
+}
 
 }  // namespace dcpl::bench

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "crypto/hkdf.hpp"
 #include "obs/metrics.hpp"
@@ -11,6 +12,10 @@ namespace dcpl::crypto {
 namespace {
 
 // Field element mod p = 2^255 - 19, five 51-bit limbs, little-endian.
+//
+// "Reduced" below means every limb is under 2^51 + 2^12, as fe_mul and
+// fe_sq leave them. fe_add and fe_sub do not carry; the subtrahend of
+// fe_sub must be reduced, and a multiply accepts limbs up to 2^54.
 struct Fe {
   std::uint64_t v[5];
 };
@@ -28,7 +33,22 @@ Fe fe_add(const Fe& a, const Fe& b) {
   return c;
 }
 
-// a - b + 2p, keeping limbs positive.
+// Weak reduction: carries each limb into the next and folds the top carry
+// back in times 19.
+Fe fe_carry(Fe t) {
+  std::uint64_t carry;
+  for (int i = 0; i < 4; ++i) {
+    carry = t.v[i] >> 51;
+    t.v[i] &= kMask51;
+    t.v[i + 1] += carry;
+  }
+  carry = t.v[4] >> 51;
+  t.v[4] &= kMask51;
+  t.v[0] += carry * 19;
+  return t;
+}
+
+// a - b + 2p, keeping limbs positive. b must be reduced.
 Fe fe_sub(const Fe& a, const Fe& b) {
   Fe c;
   c.v[0] = a.v[0] + 0xFFFFFFFFFFFDAULL - b.v[0];
@@ -39,7 +59,30 @@ Fe fe_sub(const Fe& a, const Fe& b) {
   return c;
 }
 
-Fe fe_mul(const Fe& a, const Fe& b) {
+Fe fe_neg(const Fe& a) { return fe_sub(fe_zero(), a); }
+
+// Carries five 128-bit column sums down to 51-bit limbs.
+[[gnu::always_inline]] inline Fe fe_reduce_wide(u128 t0, u128 t1, u128 t2,
+                                                u128 t3, u128 t4) {
+  Fe c;
+  t1 += static_cast<std::uint64_t>(t0 >> 51);
+  c.v[0] = static_cast<std::uint64_t>(t0) & kMask51;
+  t2 += static_cast<std::uint64_t>(t1 >> 51);
+  c.v[1] = static_cast<std::uint64_t>(t1) & kMask51;
+  t3 += static_cast<std::uint64_t>(t2 >> 51);
+  c.v[2] = static_cast<std::uint64_t>(t2) & kMask51;
+  t4 += static_cast<std::uint64_t>(t3 >> 51);
+  c.v[3] = static_cast<std::uint64_t>(t3) & kMask51;
+  c.v[4] = static_cast<std::uint64_t>(t4) & kMask51;
+  c.v[0] += static_cast<std::uint64_t>(t4 >> 51) * 19;
+  c.v[1] += c.v[0] >> 51;
+  c.v[0] &= kMask51;
+  return c;
+}
+
+// fe_mul and fe_sq are forced inline: out of line, the call and the return
+// through memory added about a fifth to the ladder's time.
+[[gnu::always_inline]] inline Fe fe_mul(const Fe& a, const Fe& b) {
   const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3],
                       a4 = a.v[4];
   const std::uint64_t b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3],
@@ -47,66 +90,47 @@ Fe fe_mul(const Fe& a, const Fe& b) {
   const std::uint64_t b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19,
                       b4_19 = b4 * 19;
 
-  u128 t0 = (u128)a0 * b0 + (u128)a1 * b4_19 + (u128)a2 * b3_19 +
-            (u128)a3 * b2_19 + (u128)a4 * b1_19;
-  u128 t1 = (u128)a0 * b1 + (u128)a1 * b0 + (u128)a2 * b4_19 +
-            (u128)a3 * b3_19 + (u128)a4 * b2_19;
-  u128 t2 = (u128)a0 * b2 + (u128)a1 * b1 + (u128)a2 * b0 +
-            (u128)a3 * b4_19 + (u128)a4 * b3_19;
-  u128 t3 = (u128)a0 * b3 + (u128)a1 * b2 + (u128)a2 * b1 + (u128)a3 * b0 +
-            (u128)a4 * b4_19;
-  u128 t4 = (u128)a0 * b4 + (u128)a1 * b3 + (u128)a2 * b2 + (u128)a3 * b1 +
-            (u128)a4 * b0;
-
-  Fe c;
-  std::uint64_t carry;
-  carry = static_cast<std::uint64_t>(t0 >> 51);
-  c.v[0] = static_cast<std::uint64_t>(t0) & kMask51;
-  t1 += carry;
-  carry = static_cast<std::uint64_t>(t1 >> 51);
-  c.v[1] = static_cast<std::uint64_t>(t1) & kMask51;
-  t2 += carry;
-  carry = static_cast<std::uint64_t>(t2 >> 51);
-  c.v[2] = static_cast<std::uint64_t>(t2) & kMask51;
-  t3 += carry;
-  carry = static_cast<std::uint64_t>(t3 >> 51);
-  c.v[3] = static_cast<std::uint64_t>(t3) & kMask51;
-  t4 += carry;
-  carry = static_cast<std::uint64_t>(t4 >> 51);
-  c.v[4] = static_cast<std::uint64_t>(t4) & kMask51;
-  c.v[0] += carry * 19;
-  carry = c.v[0] >> 51;
-  c.v[0] &= kMask51;
-  c.v[1] += carry;
-  return c;
+  return fe_reduce_wide(
+      (u128)a0 * b0 + (u128)a1 * b4_19 + (u128)a2 * b3_19 + (u128)a3 * b2_19 +
+          (u128)a4 * b1_19,
+      (u128)a0 * b1 + (u128)a1 * b0 + (u128)a2 * b4_19 + (u128)a3 * b3_19 +
+          (u128)a4 * b2_19,
+      (u128)a0 * b2 + (u128)a1 * b1 + (u128)a2 * b0 + (u128)a3 * b4_19 +
+          (u128)a4 * b3_19,
+      (u128)a0 * b3 + (u128)a1 * b2 + (u128)a2 * b1 + (u128)a3 * b0 +
+          (u128)a4 * b4_19,
+      (u128)a0 * b4 + (u128)a1 * b3 + (u128)a2 * b2 + (u128)a3 * b1 +
+          (u128)a4 * b0);
 }
 
-Fe fe_sq(const Fe& a) { return fe_mul(a, a); }
+// Squaring with the cross terms doubled once: 15 limb products, not 25.
+[[gnu::always_inline]] inline Fe fe_sq(const Fe& a) {
+  const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3],
+                      a4 = a.v[4];
+  const std::uint64_t d0 = a0 * 2, d1 = a1 * 2, d2_19 = a2 * 38,
+                      a3_19 = a3 * 19, a4_19 = a4 * 19, d4_19 = a4 * 38;
+
+  return fe_reduce_wide(
+      (u128)a0 * a0 + (u128)d4_19 * a1 + (u128)d2_19 * a3,
+      (u128)d0 * a1 + (u128)d4_19 * a2 + (u128)a3_19 * a3,
+      (u128)d0 * a2 + (u128)a1 * a1 + (u128)d4_19 * a3,
+      (u128)d0 * a3 + (u128)d1 * a2 + (u128)a4_19 * a4,
+      (u128)d0 * a4 + (u128)d1 * a3 + (u128)a2 * a2);
+}
+
+// a^(2^n): n successive squarings.
+Fe fe_sqn(Fe a, int n) {
+  for (int i = 0; i < n; ++i) a = fe_sq(a);
+  return a;
+}
 
 // Multiply by a small constant (used with a24 = 121665).
 Fe fe_mul_small(const Fe& a, std::uint64_t s) {
-  Fe c;
-  u128 t[5];
-  for (int i = 0; i < 5; ++i) t[i] = (u128)a.v[i] * s;
-  std::uint64_t carry;
-  carry = static_cast<std::uint64_t>(t[0] >> 51);
-  c.v[0] = static_cast<std::uint64_t>(t[0]) & kMask51;
-  t[1] += carry;
-  carry = static_cast<std::uint64_t>(t[1] >> 51);
-  c.v[1] = static_cast<std::uint64_t>(t[1]) & kMask51;
-  t[2] += carry;
-  carry = static_cast<std::uint64_t>(t[2] >> 51);
-  c.v[2] = static_cast<std::uint64_t>(t[2]) & kMask51;
-  t[3] += carry;
-  carry = static_cast<std::uint64_t>(t[3] >> 51);
-  c.v[3] = static_cast<std::uint64_t>(t[3]) & kMask51;
-  t[4] += carry;
-  carry = static_cast<std::uint64_t>(t[4] >> 51);
-  c.v[4] = static_cast<std::uint64_t>(t[4]) & kMask51;
-  c.v[0] += carry * 19;
-  return c;
+  return fe_reduce_wide((u128)a.v[0] * s, (u128)a.v[1] * s, (u128)a.v[2] * s,
+                        (u128)a.v[3] * s, (u128)a.v[4] * s);
 }
 
+// Swaps a and b iff swap == 1, with no branch on swap.
 void fe_cswap(std::uint64_t swap, Fe& a, Fe& b) {
   const std::uint64_t mask = ~(swap - 1);  // all-ones if swap==1
   for (int i = 0; i < 5; ++i) {
@@ -114,6 +138,12 @@ void fe_cswap(std::uint64_t swap, Fe& a, Fe& b) {
     a.v[i] ^= x;
     b.v[i] ^= x;
   }
+}
+
+// f = g iff move == 1, with no branch on move.
+void fe_cmov(std::uint64_t move, Fe& f, const Fe& g) {
+  const std::uint64_t mask = ~(move - 1);
+  for (int i = 0; i < 5; ++i) f.v[i] ^= mask & (f.v[i] ^ g.v[i]);
 }
 
 std::uint64_t load_le64(const std::uint8_t* p) {
@@ -133,21 +163,9 @@ Fe fe_frombytes(BytesView b) {
 }
 
 Bytes fe_tobytes(const Fe& in) {
-  Fe t = in;
-  // Carry three times; each pass folds the top carry back in times 19.
-  for (int pass = 0; pass < 3; ++pass) {
-    std::uint64_t carry;
-    for (int i = 0; i < 4; ++i) {
-      carry = t.v[i] >> 51;
-      t.v[i] &= kMask51;
-      t.v[i + 1] += carry;
-    }
-    carry = t.v[4] >> 51;
-    t.v[4] &= kMask51;
-    t.v[0] += carry * 19;
-  }
-  // Now t < 2^255; subtract p if t >= p.
-  // t >= p iff t + 19 >= 2^255.
+  // Three weak reductions leave t < 2^255.
+  Fe t = fe_carry(fe_carry(fe_carry(in)));
+  // Subtract p if t >= p, i.e. iff t + 19 >= 2^255.
   Fe u = t;
   u.v[0] += 19;
   for (int i = 0; i < 4; ++i) {
@@ -156,8 +174,7 @@ Bytes fe_tobytes(const Fe& in) {
   }
   std::uint64_t ge_p = u.v[4] >> 51;  // 1 iff t >= p
   u.v[4] &= kMask51;
-  const std::uint64_t mask = ~(ge_p - 1);
-  for (int i = 0; i < 5; ++i) t.v[i] = (t.v[i] & ~mask) | (u.v[i] & mask);
+  fe_cmov(ge_p, t, u);
 
   Bytes out(32, 0);
   // Pack 5x51 bits little-endian.
@@ -172,35 +189,212 @@ Bytes fe_tobytes(const Fe& in) {
   return out;
 }
 
-// a^(p-2) via square-and-multiply; exponent p-2 = 2^255 - 21.
-Fe fe_invert(const Fe& a) {
-  // Little-endian exponent bytes: 0xeb, 0xff*30, 0x7f.
-  std::uint8_t e[32];
-  std::memset(e, 0xff, sizeof(e));
-  e[0] = 0xeb;
-  e[31] = 0x7f;
+// a^(p-2) = a^(2^255 - 21) by the standard addition chain: 254 squarings
+// and 11 multiplications. The exponent is public, so the sequence of
+// operations is the same for every input.
+Fe fe_invert(const Fe& z) {
+  const Fe z2 = fe_sq(z);                            // z^2
+  const Fe z9 = fe_mul(fe_sqn(z2, 2), z);            // z^9
+  const Fe z11 = fe_mul(z9, z2);                     // z^11
+  const Fe z_5 = fe_mul(fe_sq(z11), z9);             // z^(2^5 - 1)
+  const Fe z_10 = fe_mul(fe_sqn(z_5, 5), z_5);       // z^(2^10 - 1)
+  const Fe z_20 = fe_mul(fe_sqn(z_10, 10), z_10);    // z^(2^20 - 1)
+  const Fe z_40 = fe_mul(fe_sqn(z_20, 20), z_20);    // z^(2^40 - 1)
+  const Fe z_50 = fe_mul(fe_sqn(z_40, 10), z_10);    // z^(2^50 - 1)
+  const Fe z_100 = fe_mul(fe_sqn(z_50, 50), z_50);   // z^(2^100 - 1)
+  const Fe z_200 = fe_mul(fe_sqn(z_100, 100), z_100);  // z^(2^200 - 1)
+  const Fe z_250 = fe_mul(fe_sqn(z_200, 50), z_50);  // z^(2^250 - 1)
+  return fe_mul(fe_sqn(z_250, 5), z11);              // z^(2^255 - 21)
+}
 
-  Fe result = fe_one();
-  for (int bit = 254; bit >= 0; --bit) {
-    result = fe_sq(result);
-    if ((e[bit / 8] >> (bit % 8)) & 1) result = fe_mul(result, a);
+void count_x25519_op() {
+  static obs::OpCounter ops("crypto", "x25519");
+  ops.inc();
+}
+
+// ---- Fixed-base scalar multiplication on edwards25519 ---------------------
+//
+// X25519(k, 9) equals the Montgomery u of [k]B, where B is the edwards25519
+// base point (u = 9 maps to y = 4/5), and u = (1 + y) / (1 - y). [k]B is
+// computed with a signed radix-16 comb over a table of small multiples of
+// B, built once at first use.
+
+// Extended coordinates: x = X/Z, y = Y/Z, x*y = T/Z.
+struct GeP3 {
+  Fe x, y, z, t;
+};
+
+// Completed coordinates: x = X/Z, y = Y/T.
+struct GeP1P1 {
+  Fe x, y, z, t;
+};
+
+// Affine point in the form madd consumes: (y + x, y - x, 2*d*x*y).
+struct GePrecomp {
+  Fe yplusx, yminusx, xy2d;
+};
+
+GeP3 to_p3(const GeP1P1& r) {
+  return GeP3{fe_mul(r.x, r.t), fe_mul(r.y, r.z), fe_mul(r.z, r.t),
+              fe_mul(r.x, r.y)};
+}
+
+// 2p (dbl-2008-hwcd); T is not read. Every subtrahend is a fresh square,
+// so fe_sub's operands stay in range.
+GeP1P1 ge_dbl(const GeP3& p) {
+  const Fe xx = fe_sq(p.x);
+  const Fe yy = fe_sq(p.y);
+  const Fe zz = fe_sq(p.z);
+  const Fe xy = fe_sq(fe_add(p.x, p.y));
+  return GeP1P1{fe_sub(fe_sub(xy, xx), yy), fe_add(yy, xx), fe_sub(yy, xx),
+                fe_sub(fe_add(fe_add(zz, zz), xx), yy)};
+}
+
+// p + q for an affine q (madd-2008-hwcd-3).
+GeP1P1 ge_madd(const GeP3& p, const GePrecomp& q) {
+  const Fe a = fe_mul(fe_add(p.y, p.x), q.yplusx);
+  const Fe b = fe_mul(fe_sub(p.y, p.x), q.yminusx);
+  const Fe c = fe_mul(q.xy2d, p.t);
+  const Fe d = fe_add(p.z, p.z);
+  return GeP1P1{fe_sub(a, b), fe_add(a, b), fe_add(d, c), fe_sub(d, c)};
+}
+
+// p + q for projective q (add-2008-hwcd-3); builds the table only.
+GeP1P1 ge_add(const GeP3& p, const GeP3& q, const Fe& d2) {
+  const Fe a = fe_mul(fe_add(p.y, p.x), fe_add(q.y, q.x));
+  const Fe b = fe_mul(fe_sub(p.y, p.x), fe_sub(q.y, q.x));
+  const Fe c = fe_mul(fe_mul(p.t, q.t), d2);
+  const Fe zz = fe_mul(p.z, q.z);
+  const Fe d = fe_add(zz, zz);
+  return GeP1P1{fe_sub(a, b), fe_add(a, b), fe_add(d, c), fe_sub(d, c)};
+}
+
+// p[i][j] = (j + 1) * 256^i * B: row i serves radix-16 digits 2i and 2i + 1
+// of the scalar.
+struct CombTable {
+  GePrecomp p[32][8];
+};
+
+CombTable build_comb_table() {
+  // x of B (even root); y = 4/5 and d = -121665/121666 are derived.
+  static constexpr std::uint8_t kBaseX[32] = {
+      0x1a, 0xd5, 0x25, 0x8f, 0x60, 0x2d, 0x56, 0xc9, 0xb2, 0xa7, 0x25,
+      0x95, 0x60, 0xc7, 0x2c, 0x69, 0x5c, 0xdc, 0xd6, 0xfd, 0x31, 0xe2,
+      0xa4, 0xc0, 0xfe, 0x53, 0x6e, 0xcd, 0xd3, 0x36, 0x69, 0x21};
+  const Fe d = fe_neg(fe_mul(Fe{{121665, 0, 0, 0, 0}},
+                             fe_invert(Fe{{121666, 0, 0, 0, 0}})));
+  const Fe d2 = fe_add(d, d);
+  const Fe bx = fe_frombytes(BytesView(kBaseX, 32));
+  const Fe by = fe_mul(Fe{{4, 0, 0, 0, 0}}, fe_invert(Fe{{5, 0, 0, 0, 0}}));
+  GeP3 base{bx, by, fe_one(), fe_mul(bx, by)};
+
+  // All 256 multiples in projective form, then one batch inversion
+  // (Montgomery's trick) to make them affine.
+  std::vector<GeP3> pts;
+  pts.reserve(256);
+  for (int i = 0; i < 32; ++i) {
+    pts.push_back(base);
+    for (int j = 1; j < 8; ++j) {
+      pts.push_back(to_p3(ge_add(pts.back(), base, d2)));
+    }
+    for (int k = 0; k < 8; ++k) base = to_p3(ge_dbl(base));
   }
-  return result;
+  std::vector<Fe> prefix(pts.size());
+  Fe acc = fe_one();
+  for (std::size_t k = 0; k < pts.size(); ++k) {
+    prefix[k] = acc;
+    acc = fe_mul(acc, pts[k].z);
+  }
+  Fe inv = fe_invert(acc);
+  CombTable table;
+  for (std::size_t k = pts.size(); k-- > 0;) {
+    const Fe zinv = fe_mul(inv, prefix[k]);
+    inv = fe_mul(inv, pts[k].z);
+    const Fe x = fe_mul(pts[k].x, zinv);
+    const Fe y = fe_mul(pts[k].y, zinv);
+    table.p[k / 8][k % 8] =
+        GePrecomp{fe_add(y, x), fe_sub(y, x), fe_mul(fe_mul(x, y), d2)};
+  }
+  return table;
+}
+
+const CombTable& comb_table() {
+  static const CombTable table = build_comb_table();  // thread-safe init
+  return table;
+}
+
+// 1 iff a == b, for a, b < 2^31, with no branch.
+std::uint64_t ct_eq(std::uint32_t a, std::uint32_t b) {
+  return ((a ^ b) - 1u) >> 31;
+}
+
+// digit * 256^pos * B for a signed digit in [-8, 8]. Every entry of the row
+// is read and masked in, and the negation is a masked move, so neither the
+// memory access pattern nor any branch depends on the digit.
+GePrecomp comb_select(const CombTable& table, int pos, std::int8_t digit) {
+  const auto neg = static_cast<std::uint64_t>(
+      static_cast<std::uint8_t>(digit) >> 7);
+  const auto magnitude = static_cast<std::uint32_t>(
+      digit - ((-static_cast<std::int32_t>(neg) & digit) * 2));
+  GePrecomp r{fe_one(), fe_one(), fe_zero()};  // the identity
+  for (std::uint32_t j = 0; j < 8; ++j) {
+    const std::uint64_t hit = ct_eq(magnitude, j + 1);
+    fe_cmov(hit, r.yplusx, table.p[pos][j].yplusx);
+    fe_cmov(hit, r.yminusx, table.p[pos][j].yminusx);
+    fe_cmov(hit, r.xy2d, table.p[pos][j].xy2d);
+  }
+  // -(x, y) = (-x, y): swap y+x with y-x and negate 2dxy.
+  fe_cswap(neg, r.yplusx, r.yminusx);
+  fe_cmov(neg, r.xy2d, fe_neg(r.xy2d));
+  return r;
+}
+
+// u([k]B) for a clamped 32-byte scalar k.
+Fe fixed_base_u(const std::uint8_t k[32]) {
+  // Signed radix-16 digits in [-8, 8]: k = sum e[i] * 16^i. The top digit
+  // absorbs the last carry; it stays <= 8 because k < 2^255.
+  std::int8_t e[64];
+  for (int i = 0; i < 32; ++i) {
+    e[2 * i] = static_cast<std::int8_t>(k[i] & 15);
+    e[2 * i + 1] = static_cast<std::int8_t>(k[i] >> 4);
+  }
+  std::int8_t carry = 0;
+  for (int i = 0; i < 63; ++i) {
+    e[i] = static_cast<std::int8_t>(e[i] + carry);
+    carry = static_cast<std::int8_t>((e[i] + 8) >> 4);
+    e[i] = static_cast<std::int8_t>(e[i] - carry * 16);
+  }
+  e[63] = static_cast<std::int8_t>(e[63] + carry);
+
+  // h = sum over odd i, times 16, plus sum over even i.
+  const CombTable& table = comb_table();
+  GeP3 h{fe_zero(), fe_one(), fe_one(), fe_zero()};
+  for (int i = 1; i < 64; i += 2) {
+    h = to_p3(ge_madd(h, comb_select(table, i / 2, e[i])));
+  }
+  for (int i = 0; i < 4; ++i) h = to_p3(ge_dbl(h));
+  for (int i = 0; i < 64; i += 2) {
+    h = to_p3(ge_madd(h, comb_select(table, i / 2, e[i])));
+  }
+  return fe_mul(fe_add(h.z, h.y), fe_invert(fe_sub(h.z, h.y)));
+}
+
+void clamp(std::uint8_t k[32], BytesView scalar) {
+  std::memcpy(k, scalar.data(), 32);
+  k[0] &= 248;
+  k[31] &= 127;
+  k[31] |= 64;
 }
 
 }  // namespace
 
 Bytes x25519(BytesView scalar, BytesView u) {
-  static obs::OpCounter ops("crypto", "x25519");
-  ops.inc();
+  count_x25519_op();
   if (scalar.size() != kX25519KeySize || u.size() != kX25519KeySize) {
     throw std::invalid_argument("x25519: inputs must be 32 bytes");
   }
   std::uint8_t k[32];
-  std::memcpy(k, scalar.data(), 32);
-  k[0] &= 248;
-  k[31] &= 127;
-  k[31] |= 64;
+  clamp(k, scalar);
 
   const Fe x1 = fe_frombytes(u);
   Fe x2 = fe_one(), z2 = fe_zero(), x3 = x1, z3 = fe_one();
@@ -234,9 +428,13 @@ Bytes x25519(BytesView scalar, BytesView u) {
 }
 
 Bytes x25519_public(BytesView scalar) {
-  Bytes base(32, 0);
-  base[0] = 9;
-  return x25519(scalar, base);
+  count_x25519_op();
+  if (scalar.size() != kX25519KeySize) {
+    throw std::invalid_argument("x25519: inputs must be 32 bytes");
+  }
+  std::uint8_t k[32];
+  clamp(k, scalar);
+  return fe_tobytes(fixed_base_u(k));
 }
 
 X25519KeyPair X25519KeyPair::generate(Rng& rng) {

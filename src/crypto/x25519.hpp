@@ -1,8 +1,15 @@
 // X25519 Diffie-Hellman (RFC 7748) over GF(2^255 - 19), 51-bit limbs.
 //
-// NOTE: the scalar ladder uses constant-time conditional swaps but the field
-// inversion uses plain square-and-multiply; this library is a research
-// artifact, not audited constant-time code.
+// x25519() runs the Montgomery ladder with masked conditional swaps.
+// x25519_public() computes the same X25519(k, 9) on edwards25519 instead: a
+// signed radix-16 comb over a table of multiples of the base point, built
+// once on first use (thread-safe). Each table read scans a whole row and
+// masks the wanted entry in, and the sign is applied by a masked move, so
+// no memory access or branch depends on the scalar. Field inversion is a
+// fixed addition chain; its exponent is public, so it is constant-time too.
+//
+// NOTE: this library is a research artifact, not audited constant-time
+// code; the claims above are about the source, not the compiled binary.
 #pragma once
 
 #include "common/bytes.hpp"
@@ -16,7 +23,8 @@ constexpr std::size_t kX25519KeySize = 32;
 /// X25519(scalar, u): the raw Diffie-Hellman function.
 Bytes x25519(BytesView scalar, BytesView u);
 
-/// Derives the public key for a 32-byte private scalar (X25519(k, 9)).
+/// Derives the public key for a 32-byte private scalar: X25519(k, 9), by
+/// the fixed-base comb.
 Bytes x25519_public(BytesView scalar);
 
 /// An X25519 key pair.

@@ -11,30 +11,45 @@ namespace dcpl::hpke {
 
 namespace {
 
-Bytes kem_suite_id() { return concat({to_bytes("KEM"), be_encode(kKemId, 2)}); }
-
-Bytes hpke_suite_id() {
-  return concat({to_bytes("HPKE"), be_encode(kKemId, 2), be_encode(kKdfId, 2),
-                 be_encode(kAeadId, 2)});
+// The suite ids are built once, not on every labeled extract and expand.
+BytesView kem_suite_id() {
+  static const Bytes id = concat({to_bytes("KEM"), be_encode(kKemId, 2)});
+  return id;
 }
+
+BytesView hpke_suite_id() {
+  static const Bytes id =
+      concat({to_bytes("HPKE"), be_encode(kKemId, 2), be_encode(kKdfId, 2),
+              be_encode(kAeadId, 2)});
+  return id;
+}
+
+// Views a label's characters as bytes, without copying them.
+BytesView text(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+constexpr std::string_view kVersionLabel = "HPKE-v1";
 
 Bytes labeled_extract(BytesView salt, BytesView suite_id, std::string_view label,
                       BytesView ikm) {
   Bytes labeled_ikm =
-      concat({to_bytes("HPKE-v1"), suite_id, to_bytes(label), ikm});
+      concat({text(kVersionLabel), suite_id, text(label), ikm});
   return crypto::hkdf_extract(salt, labeled_ikm);
 }
 
 Bytes labeled_expand(BytesView prk, BytesView suite_id, std::string_view label,
                      BytesView info, std::size_t length) {
-  Bytes labeled_info = concat({be_encode(length, 2), to_bytes("HPKE-v1"),
-                               suite_id, to_bytes(label), info});
+  const std::uint8_t be_length[2] = {static_cast<std::uint8_t>(length >> 8),
+                                     static_cast<std::uint8_t>(length)};
+  Bytes labeled_info = concat({be_length, text(kVersionLabel), suite_id,
+                               text(label), info});
   return crypto::hkdf_expand(prk, labeled_info, length);
 }
 
 /// DHKEM ExtractAndExpand (RFC 9180 §4.1).
 Bytes extract_and_expand(BytesView dh, BytesView kem_context) {
-  Bytes suite = kem_suite_id();
+  const BytesView suite = kem_suite_id();
   Bytes eae_prk = labeled_extract({}, suite, "eae_prk", dh);
   return labeled_expand(eae_prk, suite, "shared_secret", kem_context, kNsecret);
 }
@@ -48,7 +63,7 @@ KeyPair KeyPair::generate(Rng& rng) {
 
 KeyPair KeyPair::derive(BytesView ikm) {
   // RFC 9180 §7.1.3 DeriveKeyPair for X25519.
-  Bytes suite = kem_suite_id();
+  const BytesView suite = kem_suite_id();
   Bytes dkp_prk = labeled_extract({}, suite, "dkp_prk", ikm);
   Bytes sk = labeled_expand(dkp_prk, suite, "sk", {}, kNpk);
   Bytes pk = crypto::x25519_public(sk);
@@ -58,7 +73,7 @@ KeyPair KeyPair::derive(BytesView ikm) {
 // Shared key-schedule — RFC 9180 §5.1 (mode_base 0x00 / mode_psk 0x01).
 Context setup_with_schedule(BytesView shared_secret, BytesView info,
                             BytesView psk = {}, BytesView psk_id = {}) {
-  const Bytes suite = hpke_suite_id();
+  const BytesView suite = hpke_suite_id();
   const bool have_psk = !psk.empty();
   if (have_psk != !psk_id.empty()) {
     throw std::invalid_argument("hpke: psk and psk_id must come together");
@@ -124,7 +139,11 @@ Bytes Context::export_secret(BytesView exporter_context,
 namespace {
 
 Sender setup_sender_with_ephemeral(const crypto::X25519KeyPair& eph,
-                                   BytesView recipient_public, BytesView info) {
+                                   BytesView recipient_public, BytesView info,
+                                   BytesView psk = {}, BytesView psk_id = {}) {
+  if (recipient_public.size() != kNpk) {
+    throw std::invalid_argument("hpke: recipient public key size");
+  }
   auto dh = crypto::x25519_shared(eph.private_key, recipient_public);
   if (!dh.ok()) throw std::invalid_argument("hpke: bad recipient public key");
 
@@ -133,16 +152,13 @@ Sender setup_sender_with_ephemeral(const crypto::X25519KeyPair& eph,
 
   Sender s;
   s.enc = eph.public_key;
-  s.context = setup_with_schedule(shared_secret, info);
+  s.context = setup_with_schedule(shared_secret, info, psk, psk_id);
   return s;
 }
 
 }  // namespace
 
 Sender setup_base_sender(BytesView recipient_public, BytesView info, Rng& rng) {
-  if (recipient_public.size() != kNpk) {
-    throw std::invalid_argument("hpke: recipient public key size");
-  }
   return setup_sender_with_ephemeral(crypto::X25519KeyPair::generate(rng),
                                      recipient_public, info);
 }
@@ -157,32 +173,13 @@ Sender setup_base_sender_deterministic(BytesView recipient_public,
 
 Result<Context> setup_base_recipient(BytesView enc, const KeyPair& kp,
                                      BytesView info) {
-  if (enc.size() != kNenc) {
-    return Result<Context>::failure("hpke: bad enc size");
-  }
-  auto dh = crypto::x25519_shared(kp.private_key, enc);
-  if (!dh.ok()) return Result<Context>::failure("hpke: low-order enc");
-
-  Bytes kem_context = concat({enc, kp.public_key});
-  Bytes shared_secret = extract_and_expand(dh.value(), kem_context);
-  return setup_with_schedule(shared_secret, info);
+  return setup_psk_recipient(enc, kp, info, {}, {});
 }
 
 Sender setup_psk_sender(BytesView recipient_public, BytesView info,
                         BytesView psk, BytesView psk_id, Rng& rng) {
-  if (recipient_public.size() != kNpk) {
-    throw std::invalid_argument("hpke: recipient public key size");
-  }
-  auto eph = crypto::X25519KeyPair::generate(rng);
-  auto dh = crypto::x25519_shared(eph.private_key, recipient_public);
-  if (!dh.ok()) throw std::invalid_argument("hpke: bad recipient public key");
-  Bytes kem_context = concat({eph.public_key, recipient_public});
-  Bytes shared_secret = extract_and_expand(dh.value(), kem_context);
-
-  Sender s;
-  s.enc = eph.public_key;
-  s.context = setup_with_schedule(shared_secret, info, psk, psk_id);
-  return s;
+  return setup_sender_with_ephemeral(crypto::X25519KeyPair::generate(rng),
+                                     recipient_public, info, psk, psk_id);
 }
 
 Result<Context> setup_psk_recipient(BytesView enc, const KeyPair& kp,

@@ -86,8 +86,6 @@ class Context {
 
  private:
   friend struct Sender;
-  friend Result<Context> setup_base_recipient(BytesView enc, const KeyPair& kp,
-                                              BytesView info);
   friend Result<Context> setup_psk_recipient(BytesView enc, const KeyPair& kp,
                                              BytesView info, BytesView psk,
                                              BytesView psk_id);

@@ -1,5 +1,9 @@
-// X25519 vectors from RFC 7748 §5.2 and §6.1.
+// X25519 vectors from RFC 7748 §5.2 and §6.1, plus differential checks of
+// the fixed-base comb (x25519_public) against the Montgomery ladder.
 #include <gtest/gtest.h>
+
+#include <thread>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "crypto/csprng.hpp"
@@ -7,6 +11,29 @@
 
 namespace dcpl::crypto {
 namespace {
+
+Bytes base_point() {
+  Bytes u(32, 0);
+  u[0] = 9;
+  return u;
+}
+
+// Declared first so it runs before any other test builds the comb table:
+// threads race to the first use, and TSan checks the one-time init.
+TEST(X25519, ConcurrentFirstUseAgreesWithLadder) {
+  std::vector<Bytes> scalars, base(4), ladder(4);
+  ChaChaRng rng(99);
+  for (int i = 0; i < 4; ++i) scalars.push_back(rng.bytes(32));
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 4; ++i) {
+    threads.emplace_back([&, i] {
+      base[i] = x25519_public(scalars[i]);
+      ladder[i] = x25519(scalars[i], base_point());
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(base[i], ladder[i]) << i;
+}
 
 TEST(X25519, Rfc7748Vector1) {
   Bytes scalar = from_hex(
@@ -109,31 +136,48 @@ TEST(X25519, DeriveIsDeterministic) {
   EXPECT_NE(a.public_key, c.public_key);
 }
 
+// The fixed-base comb must agree with the variable-base ladder on u = 9 for
+// every scalar, including the clamping edge cases.
+TEST(X25519, FixedBaseMatchesLadderOnBasePoint) {
+  ChaChaRng rng(7748);
+  std::vector<Bytes> scalars = {Bytes(32, 0x00), Bytes(32, 0xff)};
+  while (scalars.size() < 1000) scalars.push_back(rng.bytes(32));
+  for (const Bytes& k : scalars) {
+    ASSERT_EQ(x25519_public(k), x25519(k, base_point())) << to_hex(k);
+  }
+}
 
-// RFC 7748 §5.2 iterated vector: k = X25519(k, u); u = old k.
-TEST(X25519, Rfc7748IteratedVector) {
-  Bytes k = from_hex(
-      "0900000000000000000000000000000000000000000000000000000000000000");
-  Bytes u = k;
-  for (int i = 0; i < 1; ++i) {
+// RFC 7748 §5: the top bit of u is masked before use.
+TEST(X25519, IgnoresHighBitOfU) {
+  ChaChaRng rng(255);
+  for (int i = 0; i < 16; ++i) {
+    Bytes k = rng.bytes(32), u = rng.bytes(32);
+    Bytes high = u, masked = u;
+    high[31] |= 0x80;
+    masked[31] &= 0x7f;
+    EXPECT_EQ(x25519(k, high), x25519(k, masked));
+  }
+}
+
+// RFC 7748 §5.2 iterated vector: k = X25519(k, u); u = old k, from
+// k = u = 9.
+Bytes rfc7748_iterate(int iterations) {
+  Bytes k = base_point(), u = base_point();
+  for (int i = 0; i < iterations; ++i) {
     Bytes next = x25519(k, u);
     u = k;
     k = next;
   }
-  EXPECT_EQ(to_hex(k),
+  return k;
+}
+
+TEST(X25519, Rfc7748IteratedVector) {
+  EXPECT_EQ(to_hex(rfc7748_iterate(1)),
             "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079");
 }
 
 TEST(X25519, Rfc7748IteratedVector1000) {
-  Bytes k = from_hex(
-      "0900000000000000000000000000000000000000000000000000000000000000");
-  Bytes u = k;
-  for (int i = 0; i < 1000; ++i) {
-    Bytes next = x25519(k, u);
-    u = k;
-    k = next;
-  }
-  EXPECT_EQ(to_hex(k),
+  EXPECT_EQ(to_hex(rfc7748_iterate(1000)),
             "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51");
 }
 
