@@ -6,6 +6,7 @@
 #include <chrono>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "net/partition.hpp"
@@ -80,16 +81,135 @@ class CurrentDeliveryScope {
   PayloadHandle& slot_;
 };
 
+/// Decorrelates per-shard fault RNG streams while leaving shard 0 (and the
+/// home shard) on the plan's own seed (stream = seed + stride * shard).
+constexpr std::uint64_t kShardSeedStride = 0x9E3779B97F4A7C15ull;
+/// Mailbox bound: big enough that barrier-rate draining never backpressures
+/// in practice, small enough to bound memory under a pathological window.
+constexpr std::size_t kMailboxCapacity = 16384;
 }  // namespace
+
+/// Delivery observability record (trace entry / wiretap / link-byte
+/// accounting). The home shard builds one per delivery and observes it at
+/// once; a worker buffers it for the coordinator to replay at the next
+/// barrier in (time, shard, buffer-order) order. Flow-ledger ops take the
+/// parallel FlowLedger staging path instead (see obs/flow.hpp).
+struct Simulator::DeferredOb {
+  Time time = 0;
+  std::uint64_t link_key = 0;
+  std::size_t size = 0;
+  std::uint64_t context = 0;
+  ProtocolId protocol = 0;
+};
+
+struct Simulator::Shard {
+  Shard(Simulator* owner, std::uint32_t shard, std::uint32_t shards,
+        bool is_worker)
+      : id(shard),
+        worker(is_worker),
+        id_base(is_worker ? static_cast<std::uint64_t>(shard + 1) << 48 : 0),
+        sim(owner),
+        traffic(shards, 0) {}
+
+  /// Parks `fn` in a recycled slot and returns the slot index.
+  std::uint32_t park_callback(std::function<void()> fn) {
+    std::uint32_t slot;
+    if (!callback_free.empty()) {
+      slot = callback_free.back();
+      callback_free.pop_back();
+    } else {
+      slot = static_cast<std::uint32_t>(callbacks.size());
+      callbacks.emplace_back();
+    }
+    callbacks[slot] = std::move(fn);
+    return slot;
+  }
+
+  /// Moves the callback out of its slot and frees the slot first, so
+  /// anything the callback schedules may reuse it.
+  std::function<void()> take_callback(std::uint32_t slot) {
+    std::function<void()> fn = std::move(callbacks[slot]);
+    callbacks[slot] = nullptr;
+    callback_free.push_back(slot);
+    return fn;
+  }
+
+  const std::uint32_t id;
+  /// Workers run on their own threads: they buffer the ordered observers
+  /// and fold their counters into the home shard when the run ends. The
+  /// home shard runs on the calling thread and observes inline.
+  const bool worker;
+  /// High bits of every context and trace id this shard issues: 0 on the
+  /// home shard, (id + 1) << 48 on a worker, so concurrent allocations
+  /// never collide and depend only on the shard's own schedule.
+  const std::uint64_t id_base;
+  Simulator* const sim;
+
+  // pool before the queue and callbacks: parked callbacks may hold
+  // PayloadRefs into it.
+  BufferPool pool;
+  CalendarQueue queue;
+  std::vector<std::function<void()>> callbacks;
+  std::vector<std::uint32_t> callback_free;
+  std::uint64_t event_seq = 0;  // local (time, seq) tiebreaker
+  Time now = 0;
+  std::uint64_t context_counter = 0;
+  std::unique_ptr<XoshiroRng> fault_rng;
+  FaultStats stats;
+  Packet scratch;  // re-materialized per delivery; capacity is recycled
+  /// Handle of the delivery currently inside Node::on_packet (kInvalid
+  /// outside one) — what detach_payload() consults to steal or share.
+  PayloadHandle current_handle = BufferPool::kInvalid;
+  std::uint64_t events = 0;
+  std::uint64_t deliveries = 0;
+  std::uint64_t delivered_bytes = 0;
+  std::size_t queue_peak = 0;
+  std::uint64_t queue_ops = 0;
+  // Tracing plane: trace-id counter, the trace of the delivery currently
+  // inside on_packet, and a private recorder lane (allocated on first use)
+  // so hop recording never shares cache lines across workers.
+  std::uint64_t trace_seq = 0;
+  obs::TraceContext cur_trace;
+  bool trace_continued = false;
+  std::unique_ptr<LatencyLane> lane;
+
+  // ---- worker-only state ----
+  obs::Histogram latency_hist{std::vector<double>{}};
+  // Private caches of the simulator's name tables; keys and pointers refer
+  // into the tables' node-stable storage.
+  std::unordered_map<std::string_view, AddressId> address_ids;
+  std::vector<const Address*> address_names;
+  std::unordered_map<std::string_view, ProtocolId> protocol_ids;
+  std::vector<const ProtocolInfo*> protocols;
+  ShardMailbox inbox{kMailboxCapacity};
+  std::vector<ShardEvent> staged;  // drained but not yet enqueued
+  std::uint64_t xfer_seq = 0;      // outgoing cross-shard merge key
+  std::vector<DeferredOb> deferred;
+  // Contention telemetry: wall time split between processing and barrier
+  // waits, failed mailbox pushes, and the outgoing traffic row
+  // (traffic[dst] = events pushed to shard dst, diagonal = same-shard
+  // pushes — deterministic; cross/local send counts derive from it).
+  std::uint64_t busy_ns = 0;
+  std::uint64_t barrier_ns = 0;
+  std::uint64_t mailbox_full_stalls = 0;
+  std::vector<std::uint64_t> traffic;
+  std::exception_ptr error;
+};
 
 Simulator::Simulator()
     : metrics_(&obs::global_registry().scope("sim")),
-      tracer_(&obs::global_tracer()) {
+      tracer_(&obs::global_tracer()),
+      home_(std::make_unique<Shard>(this, 0, 1, /*is_worker=*/false)) {
   bind_metrics();
 }
 
 // Out of line: Shard is an incomplete type at the class definition.
 Simulator::~Simulator() = default;
+
+Simulator::Shard& Simulator::current_shard() const {
+  Shard* sh = tls_shard_;
+  return sh != nullptr && sh->sim == this ? *sh : *home_;
+}
 
 void Simulator::bind_metrics() {
   events_processed_m_ = &metrics_->counter("events_processed");
@@ -199,6 +319,54 @@ bool Simulator::offline_at_id(AddressId id, Time t) const {
   return false;
 }
 
+namespace {
+
+/// Name -> id through a worker's private cache; `intern` (called under
+/// `mu`) resolves a miss in the shared table.
+template <typename Id, typename Intern>
+[[gnu::noinline]] Id cached_id(std::unordered_map<std::string_view, Id>& cache,
+             const std::string& name, std::mutex& mu, Intern intern) {
+  if (auto it = cache.find(name); it != cache.end()) return it->second;
+  std::lock_guard<std::mutex> lk(mu);
+  const auto [id, stable] = intern(name);
+  cache.emplace(*stable, id);
+  return id;
+}
+
+/// Id -> entry through a worker's private cache; `read` (called under
+/// `mu`) resolves a miss in the shared table.
+template <typename T, typename Read>
+[[gnu::noinline]] const T& cached_entry(std::vector<const T*>& cache, std::uint32_t id,
+                      std::mutex& mu, Read read) {
+  if (id < cache.size() && cache[id] != nullptr) return *cache[id];
+  const T* entry;
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    entry = &read(id);
+  }
+  if (id >= cache.size()) cache.resize(id + 1, nullptr);
+  cache[id] = entry;
+  return *entry;
+}
+
+}  // namespace
+
+AddressId Simulator::intern(Shard& sh, const Address& name) {
+  if (!sh.worker) return interner_.intern(name);
+  return cached_id(sh.address_ids, name, names_mu_, [this](const Address& n) {
+    const AddressId id = interner_.intern(n);
+    return std::pair{id, &interner_.name(id)};
+  });
+}
+
+const Address& Simulator::name_of(Shard& sh, AddressId id) {
+  if (!sh.worker) return interner_.name(id);
+  return cached_entry(sh.address_names, id, names_mu_,
+                      [this](AddressId i) -> const Address& {
+                        return interner_.name(i);
+                      });
+}
+
 ProtocolId Simulator::intern_protocol(const std::string& name) {
   auto it = protocol_ids_.find(name);
   if (it != protocol_ids_.end()) return it->second;
@@ -209,67 +377,145 @@ ProtocolId Simulator::intern_protocol(const std::string& name) {
   return id;
 }
 
-void Simulator::note_queue_push() {
-  const std::size_t depth = queue_.size();
-  if (depth > queue_peak_) queue_peak_ = depth;
-  if ((++queue_ops_ & kQueueSampleMask) == 0) {
-    queue_depth_m_->set(static_cast<double>(depth));
-    pool_live_m_->set(static_cast<double>(pool_.live()));
-    pool_slots_m_->set(static_cast<double>(pool_.slots()));
+ProtocolId Simulator::intern_protocol(Shard& sh, const std::string& name) {
+  if (!sh.worker) return intern_protocol(name);
+  return cached_id(sh.protocol_ids, name, names_mu_,
+                   [this](const std::string& n) {
+                     const ProtocolId id = intern_protocol(n);
+                     return std::pair{id, &protocols_[id]->name};
+                   });
+}
+
+const Simulator::ProtocolInfo& Simulator::protocol_info(Shard& sh,
+                                                        ProtocolId id) {
+  if (!sh.worker) return *protocols_[id];
+  return cached_entry(sh.protocols, id, names_mu_,
+                      [this](ProtocolId i) -> const ProtocolInfo& {
+                        return *protocols_[i];
+                      });
+}
+
+void Simulator::note_queue_op(Shard& sh) {
+  if ((++sh.queue_ops & kQueueSampleMask) == 0) {
+    queue_depth_m_->set(static_cast<double>(sh.queue.size()));
+    pool_live_m_->set(static_cast<double>(sh.pool.live()));
+    pool_slots_m_->set(static_cast<double>(sh.pool.slots()));
   }
 }
 
-void Simulator::note_queue_pop() {
-  if ((++queue_ops_ & kQueueSampleMask) == 0) {
-    queue_depth_m_->set(static_cast<double>(queue_.size()));
-    pool_live_m_->set(static_cast<double>(pool_.live()));
-    pool_slots_m_->set(static_cast<double>(pool_.slots()));
-  }
+void Simulator::enqueue(Shard& sh, EngineEvent& ev) {
+  ev.seq = ++sh.event_seq;
+  sh.queue.push(ev);
+  const std::size_t depth = sh.queue.size();
+  if (depth > sh.queue_peak) sh.queue_peak = depth;
+  if (!sh.worker) note_queue_op(sh);
 }
 
-void Simulator::push_delivery(Time deliver_at, std::uint64_t link_key,
-                              PayloadHandle h, std::uint64_t context,
-                              ProtocolId protocol,
+void Simulator::push_delivery(Shard& sh, Time deliver_at,
+                              std::uint64_t link_key, PayloadHandle h,
+                              std::uint64_t context, ProtocolId protocol,
                               const obs::TraceContext& tc) {
   EngineEvent ev;
   ev.time = deliver_at;
-  ev.seq = ++event_seq_;
   ev.link_key = link_key;
   ev.context = context;
   // The latency sample is computed now but recorded only at delivery time:
   // a packet later dropped by a crash window must not contribute to the
   // delivery-latency histogram.
-  ev.latency_sample = deliver_at - now_;
+  ev.latency_sample = deliver_at - sh.now;
   ev.trace_id = tc.trace_id;
   ev.trace_origin = tc.origin_us;
   ev.trace_hop = tc.hop;
   ev.handle = h;
   ev.protocol = protocol;
   ev.kind = EngineEvent::kDelivery;
-  queue_.push(ev);
-  note_queue_push();
+  ++sh.traffic[sh.id];  // diagonal: same-shard sends
+  enqueue(sh, ev);
 }
 
-obs::TraceContext Simulator::next_trace() {
+void Simulator::push_callback(Shard& sh, Time t, std::function<void()> fn,
+                              std::uint64_t tag) {
+  if (t < sh.now) throw std::invalid_argument("Simulator::at: time in the past");
+  EngineEvent ev;
+  ev.time = t;
+  // Callback events never read context on dispatch; at_node() stashes its
+  // affinity there as id + 1 (0 = untagged) for redistribute_initial_events
+  // to route on.
+  ev.context = tag;
+  ev.handle = sh.park_callback(std::move(fn));
+  ev.kind = EngineEvent::kCallback;
+  enqueue(sh, ev);
+}
+
+void Simulator::push_remote(Shard& sh, std::uint32_t dst_shard,
+                            ShardEvent ev) {
+  ++sh.traffic[dst_shard];
+  ShardMailbox& box = workers_[dst_shard]->inbox;
+  while (!box.try_push(std::move(ev))) {
+    if (abort_.load(std::memory_order_relaxed)) {
+      return;  // another shard failed; the run is unwinding — drop
+    }
+    // Full: make progress instead of spinning a potential producer cycle —
+    // drain our *own* inbox into the staging buffer (freeing space someone
+    // may be blocked on) and yield to the mailbox owner. Staged events are
+    // enqueued only at the barrier, so drain timing can't affect the merge
+    // order.
+    ++sh.mailbox_full_stalls;
+    sh.inbox.drain(sh.staged);
+    std::this_thread::yield();
+  }
+}
+
+LatencyLane& Simulator::lane(Shard& sh) {
+  if (!sh.lane) sh.lane = std::make_unique<LatencyLane>();
+  return *sh.lane;
+}
+
+void Simulator::merge_lane(Shard& sh) {
+  if (!sh.lane) return;
+  if (latency_ != nullptr) latency_->merge_lane(*sh.lane);
+  sh.lane.reset();
+}
+
+obs::TraceContext Simulator::next_trace(Shard& sh) {
   if (latency_ == nullptr) return {};
-  if (cur_trace_.active()) {
+  if (sh.cur_trace.active()) {
     // A send issued while a delivery is in flight continues that packet's
     // trace one hop further (the relay/forward idiom).
-    trace_continued_ = true;
-    obs::TraceContext tc = cur_trace_;
+    sh.trace_continued = true;
+    obs::TraceContext tc = sh.cur_trace;
     ++tc.hop;
     return tc;
   }
+  // Fresh trace, namespaced like new_context(): ids depend only on the
+  // shard's own deterministic schedule, never the wall clock or thread
+  // interleaving.
   obs::TraceContext tc;
-  const std::uint64_t seq = ++trace_seq_;
-  tc.trace_id =
-      latency_->waterfall_trace(seq) ? (seq | obs::kTraceWaterfallBit) : seq;
-  tc.origin_us = now_;
+  const std::uint64_t seq = ++sh.trace_seq;
+  tc.trace_id = sh.id_base | seq;
+  if (latency_->waterfall_trace(seq)) tc.trace_id |= obs::kTraceWaterfallBit;
+  tc.origin_us = sh.now;
   tc.hop = 0;
   return tc;
 }
 
-Simulator::SendPlan Simulator::plan_send(AddressId src_id,
+void Simulator::count_fault(Shard& sh, std::uint64_t FaultStats::*field,
+                            obs::Counter* counter) {
+  ++(sh.stats.*field);
+  // Workers fold their counts into the registry when the run ends.
+  if (!sh.worker) counter->inc();
+}
+
+void Simulator::fault_span(const Shard& sh, const char* name,
+                           const Address& src, const Address& dst) {
+  // The tracer is not thread-safe: only the home shard emits spans.
+  if (sh.worker || !tracer_->enabled()) return;
+  obs::Span span(*tracer_, name, "net");
+  span.arg("src", src);
+  span.arg("dst", dst);
+}
+
+Simulator::SendPlan Simulator::plan_send(Shard& sh, AddressId src_id,
                                          std::uint64_t link_key,
                                          const Address& src,
                                          const Address& dst,
@@ -283,7 +529,7 @@ Simulator::SendPlan Simulator::plan_send(AddressId src_id,
     link = &it->second;
   }
 
-  // Fault rolls happen in send order from a dedicated seeded RNG, so a
+  // Fault rolls happen in send order from the shard's seeded RNG, so a
   // fixed (workload, plan) pair replays the exact same fault sequence. A
   // lost packet consumes exactly one roll; a surviving one consumes the
   // duplicate roll, the jitter roll, and (only when duplicated) the
@@ -292,20 +538,14 @@ Simulator::SendPlan Simulator::plan_send(AddressId src_id,
   Time fault_delay = 0;
   Time dup_delay = 0;
   if (fault_plan_) {
-    if (partitioned_at(link_key, now_)) {
-      ++fault_stats_.partition_dropped;
-      faults_partition_m_->inc();
-      if (tracer_->enabled()) {
-        obs::Span span(*tracer_, "fault.partition", "net");
-        span.arg("src", src);
-        span.arg("dst", dst);
-      }
+    if (partitioned_at(link_key, sh.now)) {
+      count_fault(sh, &FaultStats::partition_dropped, faults_partition_m_);
+      fault_span(sh, "fault.partition", src, dst);
       plan.dropped = true;
       return plan;
     }
-    if (offline_at_id(src_id, now_)) {
-      ++fault_stats_.offline_dropped;
-      faults_offline_m_->inc();
+    if (offline_at_id(src_id, sh.now)) {
+      count_fault(sh, &FaultStats::offline_dropped, faults_offline_m_);
       plan.dropped = true;
       return plan;
     }
@@ -313,29 +553,22 @@ Simulator::SendPlan Simulator::plan_send(AddressId src_id,
                                 ? *link->impairment
                                 : fault_plan_->global_impairment();
     if (imp.active()) {
-      if (imp.loss > 0 && fault_rng_->unit() < imp.loss) {
-        ++fault_stats_.lost;
-        faults_lost_m_->inc();
-        if (tracer_->enabled()) {
-          obs::Span span(*tracer_, "fault.loss", "net");
-          span.arg("src", src);
-          span.arg("dst", dst);
-        }
+      XoshiroRng& rng = *sh.fault_rng;
+      if (imp.loss > 0 && rng.unit() < imp.loss) {
+        count_fault(sh, &FaultStats::lost, faults_lost_m_);
+        fault_span(sh, "fault.loss", src, dst);
         plan.dropped = true;
         return plan;
       }
-      if (imp.duplicate > 0 && fault_rng_->unit() < imp.duplicate) {
+      if (imp.duplicate > 0 && rng.unit() < imp.duplicate) {
         plan.duplicated = true;
       }
-      if (imp.jitter > 0 && fault_rng_->unit() < imp.jitter) {
-        fault_delay =
-            imp.jitter_max_us ? fault_rng_->below(imp.jitter_max_us + 1) : 0;
-        ++fault_stats_.jittered;
-        faults_jittered_m_->inc();
+      if (imp.jitter > 0 && rng.unit() < imp.jitter) {
+        fault_delay = imp.jitter_max_us ? rng.below(imp.jitter_max_us + 1) : 0;
+        count_fault(sh, &FaultStats::jittered, faults_jittered_m_);
       }
-      if (plan.duplicated && imp.jitter > 0 && fault_rng_->unit() < imp.jitter) {
-        dup_delay =
-            imp.jitter_max_us ? fault_rng_->below(imp.jitter_max_us + 1) : 0;
+      if (plan.duplicated && imp.jitter > 0 && rng.unit() < imp.jitter) {
+        dup_delay = imp.jitter_max_us ? rng.below(imp.jitter_max_us + 1) : 0;
       }
     }
   }
@@ -346,16 +579,11 @@ Simulator::SendPlan Simulator::plan_send(AddressId src_id,
   }
   const Time latency =
       link && link->has_latency ? link->latency : default_latency_;
-  const Time base = now_ + latency + serialization + extra_delay;
+  const Time base = sh.now + latency + serialization + extra_delay;
   plan.deliver_at = base + fault_delay;
   if (plan.duplicated) {
-    ++fault_stats_.duplicated;
-    faults_duplicated_m_->inc();
-    if (tracer_->enabled()) {
-      obs::Span span(*tracer_, "fault.duplicate", "net");
-      span.arg("src", src);
-      span.arg("dst", dst);
-    }
+    count_fault(sh, &FaultStats::duplicated, faults_duplicated_m_);
+    fault_span(sh, "fault.duplicate", src, dst);
     plan.dup_at = base + dup_delay;
   }
   if (latency_ != nullptr) {
@@ -363,201 +591,130 @@ Simulator::SendPlan Simulator::plan_send(AddressId src_id,
     // fault-duplicate shares the primary's stages): the link flight time,
     // and everything else the hop waited on (serialization + caller delay
     // + jitter) — fired − scheduled minus the link component.
-    latency_->stage_link().record(latency);
-    latency_->stage_queue_wait().record(serialization + extra_delay +
-                                        fault_delay);
+    LatencyLane& l = lane(sh);
+    l.link.record(latency);
+    l.queue_wait.record(serialization + extra_delay + fault_delay);
   }
   return plan;
 }
 
+std::uint32_t Simulator::route(const Shard& sh, AddressId dst_id) const {
+  return sh.worker ? shard_of_id(dst_id) : sh.id;
+}
+
 void Simulator::send(Packet packet, Time extra_delay) {
-  if (Shard* sh = tls_shard_; sh != nullptr && owns_shard(sh)) {
-    const AddressId src_id = intern_mt(packet.src);
-    const AddressId dst_id = intern_mt(packet.dst);
-    sharded_send(*sh, src_id, dst_id, packet.dst, std::move(packet.payload),
-                 packet.context, packet.protocol, extra_delay);
-    return;
-  }
-  const AddressId src_id = interner_.intern(packet.src);
-  const AddressId dst_id = interner_.intern(packet.dst);
+  Shard& sh = current_shard();
+  const AddressId src_id = intern(sh, packet.src);
+  const AddressId dst_id = intern(sh, packet.dst);
   if (dst_id >= nodes_.size() || nodes_[dst_id] == nullptr) {
     throw std::out_of_range("Simulator: unknown destination " + packet.dst);
   }
   const std::uint64_t link_key = pack_link(src_id, dst_id);
-  const SendPlan plan = plan_send(src_id, link_key, packet.src, packet.dst,
-                                  packet.payload.size(), extra_delay);
+  const SendPlan plan = plan_send(sh, src_id, link_key, packet.src,
+                                  packet.dst, packet.payload.size(),
+                                  extra_delay);
   if (plan.dropped) return;
-  const ProtocolId proto = intern_protocol(packet.protocol);
-  const obs::TraceContext tc = next_trace();
-  const PayloadHandle h = pool_.acquire(std::move(packet.payload));
-  if (plan.duplicated) {
-    // The duplicate shares the original's buffer and is pushed first, so it
-    // takes the lower sequence number — exactly the seed engine's order.
-    pool_.add_ref(h);
-    push_delivery(plan.dup_at, link_key, h, packet.context, proto, tc);
+  const ProtocolId proto = intern_protocol(sh, packet.protocol);
+  const obs::TraceContext tc = next_trace(sh);
+  const std::uint64_t context = packet.context;
+  const std::uint32_t dst_shard = route(sh, dst_id);
+  if (dst_shard == sh.id) {
+    const PayloadHandle h = sh.pool.acquire(std::move(packet.payload));
+    if (plan.duplicated) {
+      // The duplicate shares the original's buffer and is pushed first, so
+      // it takes the lower sequence number — exactly the seed engine's
+      // order.
+      sh.pool.add_ref(h);
+      push_delivery(sh, plan.dup_at, link_key, h, context, proto, tc);
+    }
+    push_delivery(sh, plan.deliver_at, link_key, h, context, proto, tc);
+    return;
   }
-  push_delivery(plan.deliver_at, link_key, h, packet.context, proto, tc);
+  ShardEvent xev;
+  xev.src_shard = sh.id;
+  xev.link_key = link_key;
+  xev.context = context;
+  xev.trace_id = tc.trace_id;
+  xev.trace_origin = tc.origin_us;
+  xev.trace_hop = tc.hop;
+  xev.protocol = proto;
+  if (plan.duplicated) {
+    ShardEvent dup = xev;
+    dup.time = plan.dup_at;
+    dup.latency_sample = plan.dup_at - sh.now;
+    dup.src_seq = ++sh.xfer_seq;   // lower merge key: duplicate first
+    dup.payload = packet.payload;  // shares degrade to a copy across shards
+    push_remote(sh, dst_shard, std::move(dup));
+  }
+  xev.time = plan.deliver_at;
+  xev.latency_sample = plan.deliver_at - sh.now;
+  xev.src_seq = ++sh.xfer_seq;
+  xev.payload = std::move(packet.payload);
+  push_remote(sh, dst_shard, std::move(xev));
 }
 
 PayloadRef Simulator::make_payload(Bytes bytes) {
-  if (Shard* sh = tls_shard_; sh != nullptr && owns_shard(sh)) {
-    return sharded_make_payload(*sh, std::move(bytes));
-  }
-  return PayloadRef(&pool_, pool_.acquire(std::move(bytes)));
+  Shard& sh = current_shard();
+  return PayloadRef(&sh.pool, sh.pool.acquire(std::move(bytes)));
 }
 
 void Simulator::send_shared(const Address& src, const Address& dst,
                             const PayloadRef& payload, std::uint64_t context,
                             const std::string& protocol, Time extra_delay) {
-  if (Shard* sh = tls_shard_; sh != nullptr && owns_shard(sh)) {
-    if (!payload || !shard_local_pool(sh, payload.pool())) {
-      throw std::invalid_argument(
-          "Simulator::send_shared: payload not from this simulator's pool");
-    }
-    sharded_send_shared(*sh, src, dst, payload, context, protocol,
-                        extra_delay);
-    return;
-  }
-  if (!payload || payload.pool() != &pool_) {
+  Shard& sh = current_shard();
+  if (!payload ||
+      (payload.pool() != &sh.pool && payload.pool() != &home_->pool)) {
     throw std::invalid_argument(
         "Simulator::send_shared: payload not from this simulator's pool");
   }
-  const AddressId src_id = interner_.intern(src);
-  const AddressId dst_id = interner_.intern(dst);
+  const AddressId src_id = intern(sh, src);
+  const AddressId dst_id = intern(sh, dst);
+  if (payload.pool() != &sh.pool || route(sh, dst_id) != sh.id) {
+    // Crossing a shard boundary (or a worker sharing a frozen home-pool
+    // buffer): ownership must change pools, so the share degrades to one
+    // copy.
+    send(Packet{src, dst, payload.bytes(), context, protocol}, extra_delay);
+    return;
+  }
   if (dst_id >= nodes_.size() || nodes_[dst_id] == nullptr) {
     throw std::out_of_range("Simulator: unknown destination " + dst);
   }
   const std::uint64_t link_key = pack_link(src_id, dst_id);
-  const SendPlan plan = plan_send(src_id, link_key, src, dst,
+  const SendPlan plan = plan_send(sh, src_id, link_key, src, dst,
                                   payload.bytes().size(), extra_delay);
   if (plan.dropped) return;
-  const ProtocolId proto = intern_protocol(protocol);
-  const obs::TraceContext tc = next_trace();
+  const ProtocolId proto = intern_protocol(sh, protocol);
+  const obs::TraceContext tc = next_trace(sh);
   const PayloadHandle h = payload.handle();
   if (plan.duplicated) {
-    pool_.add_ref(h);
-    push_delivery(plan.dup_at, link_key, h, context, proto, tc);
+    sh.pool.add_ref(h);
+    push_delivery(sh, plan.dup_at, link_key, h, context, proto, tc);
   }
-  pool_.add_ref(h);
-  push_delivery(plan.deliver_at, link_key, h, context, proto, tc);
+  sh.pool.add_ref(h);
+  push_delivery(sh, plan.deliver_at, link_key, h, context, proto, tc);
 }
 
-void Simulator::at(Time t, std::function<void()> fn) {
-  if (Shard* sh = tls_shard_; sh != nullptr && owns_shard(sh)) {
-    sharded_at(*sh, t, std::move(fn));
-    return;
+Bytes Simulator::detach_payload(std::size_t prefix_len) {
+  Shard& sh = current_shard();
+  const PayloadHandle h = sh.current_handle;
+  if (h == BufferPool::kInvalid) {
+    throw std::logic_error(
+        "Simulator::detach_payload: no delivery in progress");
   }
-  if (t < now_) throw std::invalid_argument("Simulator::at: time in the past");
-  std::uint32_t slot;
-  if (!callback_free_.empty()) {
-    slot = callback_free_.back();
-    callback_free_.pop_back();
+  Bytes& borrowed = sh.scratch.payload;
+  const std::size_t size = std::min(prefix_len, borrowed.size());
+  Bytes bytes;
+  if (sh.pool.refs(h) == 1) {
+    // Sole reference: the slot dies when this delivery ends, so the buffer
+    // can leave the pool by move. The guard swaps an empty Bytes back.
+    bytes = std::move(borrowed);
+    bytes.resize(size);
   } else {
-    slot = static_cast<std::uint32_t>(callbacks_.size());
-    callbacks_.emplace_back();
+    // A pending fault-duplicate still needs these bytes: copy the prefix.
+    bytes.assign(borrowed.begin(),
+                 borrowed.begin() + static_cast<std::ptrdiff_t>(size));
   }
-  callbacks_[slot] = std::move(fn);
-  EngineEvent ev;
-  ev.time = t;
-  ev.seq = ++event_seq_;
-  ev.handle = slot;
-  ev.kind = EngineEvent::kCallback;
-  queue_.push(ev);
-  note_queue_push();
-}
-
-void Simulator::at_node(const Address& affine, Time t,
-                        std::function<void()> fn) {
-  if (Shard* sh = tls_shard_; sh != nullptr && owns_shard(sh)) {
-    // Mid-run the handler is already on a deterministic shard; scheduling
-    // stays shard-local, exactly like at().
-    sharded_at(*sh, t, std::move(fn));
-    return;
-  }
-  const AddressId id = interner_.intern(affine);
-  if (t < now_) throw std::invalid_argument("Simulator::at: time in the past");
-  std::uint32_t slot;
-  if (!callback_free_.empty()) {
-    slot = callback_free_.back();
-    callback_free_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(callbacks_.size());
-    callbacks_.emplace_back();
-  }
-  callbacks_[slot] = std::move(fn);
-  EngineEvent ev;
-  ev.time = t;
-  ev.seq = ++event_seq_;
-  // Callback events never read context on dispatch; stash the affinity as
-  // id + 1 (0 = untagged) for redistribute_initial_events to route on.
-  // Identical (time, seq) keys to at(), so serial runs are byte-identical.
-  ev.context = static_cast<std::uint64_t>(id) + 1;
-  ev.handle = slot;
-  ev.kind = EngineEvent::kCallback;
-  queue_.push(ev);
-  note_queue_push();
-}
-
-void Simulator::deliver(const EngineEvent& ev) {
-  const AddressId dst_id = link_dst(ev.link_key);
-  if (fault_plan_ && offline_at_id(dst_id, now_)) {
-    ++fault_stats_.offline_dropped;
-    faults_offline_m_->inc();
-    pool_.release(ev.handle);
-    return;
-  }
-  delivery_latency_m_->observe(static_cast<double>(ev.latency_sample));
-  const ProtocolInfo& proto = *protocols_[ev.protocol];
-  const Address& src = interner_.name(link_src(ev.link_key));
-  const Address& dst = interner_.name(dst_id);
-  const bool traced = tracer_->enabled();
-  obs::Span span(*tracer_, traced ? proto.deliver_label : std::string(),
-                 "net");
-  if (traced) {
-    span.arg("src", src);
-    span.arg("dst", dst);
-  }
-  // Re-materialize the packet into the recycled scratch struct (string
-  // capacity survives across deliveries) and borrow the pooled bytes for
-  // the duration of the handler.
-  PayloadGuard payload(pool_, ev.handle, scratch_.payload);
-  scratch_.src = src;
-  scratch_.dst = dst;
-  scratch_.context = ev.context;
-  scratch_.protocol = proto.name;
-  ++packets_delivered_;
-  bytes_delivered_ += scratch_.payload.size();
-  packets_m_->inc();
-  bytes_m_->inc(scratch_.payload.size());
-  if (link_byte_accounting_) {
-    link_bytes_counter(ev.link_key, src, dst).inc(scratch_.payload.size());
-  }
-  FlowDeliveryScope flow_scope(flow_, ev.context, proto.name);
-  if (record_trace_ || !wiretaps_.empty()) {
-    TraceEntry entry{now_,       src,        dst,
-                     scratch_.payload.size(), ev.context, proto.name};
-    for (auto& tap : wiretaps_) tap(entry);
-    if (record_trace_) trace_.push_back(std::move(entry));
-  }
-  CurrentDeliveryScope current(current_handle_, ev.handle);
-  cur_trace_.trace_id = ev.trace_id;
-  cur_trace_.origin_us = ev.trace_origin;
-  cur_trace_.hop = ev.trace_hop;
-  trace_continued_ = false;
-  nodes_[dst_id]->on_packet(scratch_, *this);
-  if (latency_ != nullptr && ev.trace_id != 0) {
-    if (!trace_continued_) {
-      // Terminal hop: nothing inside the handler carried the trace on, so
-      // the request ends here — stamp its end-to-end virtual latency under
-      // the terminal protocol.
-      latency_->e2e(ev.protocol).record(now_ - ev.trace_origin);
-    }
-    if ((ev.trace_id & obs::kTraceWaterfallBit) != 0) {
-      latency_->add_span({ev.trace_id, ev.trace_hop, ev.protocol,
-                          ev.time - ev.latency_sample, ev.time});
-    }
-  }
-  cur_trace_.trace_id = 0;
+  return bytes;
 }
 
 void Simulator::forward(const Address& src, const Address& dst,
@@ -572,64 +729,194 @@ void Simulator::forward(const Address& src, const Address& dst,
   send(std::move(fwd), extra_delay);
 }
 
-void Simulator::dispatch(const EngineEvent& ev) {
+void Simulator::at(Time t, std::function<void()> fn) {
+  push_callback(current_shard(), t, std::move(fn), 0);
+}
+
+void Simulator::at_node(const Address& affine, Time t,
+                        std::function<void()> fn) {
+  Shard& sh = current_shard();
+  // Only the home queue is spread over shards (at the start of an n-shard
+  // run); a worker's callbacks stay on the worker, exactly like at().
+  const std::uint64_t tag =
+      sh.worker ? 0 : static_cast<std::uint64_t>(intern(sh, affine)) + 1;
+  push_callback(sh, t, std::move(fn), tag);
+}
+
+Time Simulator::now() const { return current_shard().now; }
+
+std::uint64_t Simulator::new_context() {
+  Shard& sh = current_shard();
+  return sh.id_base | ++sh.context_counter;
+}
+
+void Simulator::observe_delivery(const DeferredOb& ob) {
+  const Address& src = interner_.name(link_src(ob.link_key));
+  const Address& dst = interner_.name(link_dst(ob.link_key));
+  if (link_byte_accounting_) {
+    link_bytes_counter(ob.link_key, src, dst).inc(ob.size);
+  }
+  if (record_trace_ || !wiretaps_.empty()) {
+    TraceEntry entry{ob.time, src,        dst,
+                     ob.size, ob.context, protocols_[ob.protocol]->name};
+    for (auto& tap : wiretaps_) tap(entry);
+    if (record_trace_) trace_.push_back(std::move(entry));
+  }
+}
+
+void Simulator::deliver(Shard& sh, const EngineEvent& ev) {
+  const AddressId dst_id = link_dst(ev.link_key);
+  if (fault_plan_ && offline_at_id(dst_id, sh.now)) {
+    count_fault(sh, &FaultStats::offline_dropped, faults_offline_m_);
+    sh.pool.release(ev.handle);
+    return;
+  }
+  (sh.worker ? sh.latency_hist : *delivery_latency_m_)
+      .observe(static_cast<double>(ev.latency_sample));
+  const ProtocolInfo& proto = protocol_info(sh, ev.protocol);
+  const Address& src = name_of(sh, link_src(ev.link_key));
+  const Address& dst = name_of(sh, dst_id);
+  std::optional<obs::Span> span;
+  if (!sh.worker && tracer_->enabled()) {
+    span.emplace(*tracer_, proto.deliver_label, "net");
+    span->arg("src", src);
+    span->arg("dst", dst);
+  }
+  // Re-materialize the packet into the recycled scratch struct (string
+  // capacity survives across deliveries) and borrow the pooled bytes for
+  // the duration of the handler.
+  PayloadGuard payload(sh.pool, ev.handle, sh.scratch.payload);
+  sh.scratch.src = src;
+  sh.scratch.dst = dst;
+  sh.scratch.context = ev.context;
+  sh.scratch.protocol = proto.name;
+  const std::size_t size = sh.scratch.payload.size();
+  ++sh.deliveries;
+  sh.delivered_bytes += size;
+  if (!sh.worker) {
+    packets_m_->inc();
+    bytes_m_->inc(size);
+  }
+  // On a worker the delivery scope is staged on the shard's ledger lane,
+  // so exposures the handler records land inside it when the batch
+  // commits.
+  FlowDeliveryScope flow_scope(flow_, ev.context, proto.name);
+  const DeferredOb ob{sh.now, ev.link_key, size, ev.context, ev.protocol};
+  if (sh.worker) {
+    if (defer_observability_) sh.deferred.push_back(ob);
+  } else if (record_trace_ || link_byte_accounting_ || !wiretaps_.empty()) {
+    observe_delivery(ob);
+  }
+  CurrentDeliveryScope current(sh.current_handle, ev.handle);
+  sh.cur_trace.trace_id = ev.trace_id;
+  sh.cur_trace.origin_us = ev.trace_origin;
+  sh.cur_trace.hop = ev.trace_hop;
+  sh.trace_continued = false;
+  nodes_[dst_id]->on_packet(sh.scratch, *this);
+  if (latency_ != nullptr && ev.trace_id != 0) {
+    if (!sh.trace_continued) {
+      // Terminal hop: nothing inside the handler carried the trace on, so
+      // the request ends here — stamp its end-to-end virtual latency under
+      // the terminal protocol.
+      lane(sh).e2e[std::min<ProtocolId>(ev.protocol,
+                                        LatencyTracer::kMaxProtocols - 1)]
+          .record(sh.now - ev.trace_origin);
+    }
+    if ((ev.trace_id & obs::kTraceWaterfallBit) != 0) {
+      // Rare (sampled traces only), so the tracer's span mutex is fine.
+      latency_->add_span({ev.trace_id, ev.trace_hop, ev.protocol,
+                          ev.time - ev.latency_sample, ev.time});
+    }
+  }
+  sh.cur_trace.trace_id = 0;
+}
+
+void Simulator::dispatch(Shard& sh, const EngineEvent& ev) {
   if (ev.kind == EngineEvent::kDelivery) {
-    deliver(ev);
+    deliver(sh, ev);
   } else {
-    // Move the callback out before running it: the slot is free for
-    // reuse by anything the callback itself schedules.
-    std::function<void()> fn = std::move(callbacks_[ev.handle]);
-    callbacks_[ev.handle] = nullptr;
-    callback_free_.push_back(ev.handle);
-    fn();
+    sh.take_callback(ev.handle)();
+  }
+}
+
+void Simulator::process_window(Shard& sh, Time window_end) {
+  while (!sh.queue.empty() && !abort_.load(std::memory_order_relaxed)) {
+    if (window_end != CalendarQueue::kNever &&
+        sh.queue.next_time() >= window_end) {
+      return;
+    }
+    const EngineEvent ev = sh.queue.pop();
+    sh.now = ev.time;
+    ++sh.events;
+    if (sh.worker) {
+      dispatch(sh, ev);
+      continue;
+    }
+    // The home shard runs on the calling thread, so it alone feeds the
+    // live per-event telemetry: queue gauges, the event counter, the
+    // sampler, and the profiler.
+    note_queue_op(sh);
+    events_processed_m_->inc();
+    if (sh.now >= sampler_next_) {
+      // Sample *before* dispatching: the probes see the state the event
+      // is about to act on, timestamped at its virtual time.
+      sampler_->sample_now(sh.now);
+      sampler_next_ = sampler_->next_due();
+    }
+    if (profiler_ != nullptr) {
+      const bool sampled = profiler_->arm();
+      dispatch(sh, ev);
+      profiler_->account(ev.kind, ev.protocol, sampled);
+    } else {
+      dispatch(sh, ev);
+    }
+  }
+}
+
+void Simulator::publish_drained(std::size_t peak, std::size_t pool_live,
+                                std::size_t pool_slots) {
+  // The exact high-watermark goes on its own gauge: samplers polling
+  // queue_depth at run end never observe a phantom peak-then-zero spike.
+  queue_depth_peak_m_->set(static_cast<double>(peak));
+  queue_depth_m_->set(0.0);
+  pool_live_m_->set(static_cast<double>(pool_live));
+  pool_slots_m_->set(static_cast<double>(pool_slots));
+  // One final sample at drain so the series always covers the run's end.
+  if (sampler_ != nullptr) {
+    sampler_->sample_now(home_->now);
+    sampler_next_ = sampler_->next_due();
   }
 }
 
 Time Simulator::run() {
   if (shards_ > 1) return run_sharded();
+  Shard& sh = *home_;
   // Attach this simulator's virtual clock so any span opened while an event
   // handler runs carries simulated time alongside wall time.
-  tracer_->set_virtual_clock([this] { return now_; });
+  tracer_->set_virtual_clock([&sh] { return sh.now; });
   {
     obs::Span run_span(*tracer_, "sim.run", "sim");
-    while (!queue_.empty()) {
-      const EngineEvent ev = queue_.pop();
-      note_queue_pop();
-      now_ = ev.time;
-      events_processed_m_->inc();
-      if (now_ >= sampler_next_) {
-        // Sample *before* dispatching: the probes see the state the event
-        // is about to act on, timestamped at its virtual time.
-        sampler_->sample_now(now_);
-        sampler_next_ = sampler_->next_due();
-      }
-      if (profiler_ != nullptr) {
-        const bool sampled = profiler_->arm();
-        dispatch(ev);
-        profiler_->account(ev.kind, ev.protocol, sampled);
-      } else {
-        dispatch(ev);
-      }
-    }
-    // Publish the exact high-watermark on its own gauge: samplers polling
-    // queue_depth at run end never observe a phantom peak-then-zero spike.
-    queue_depth_peak_m_->set(static_cast<double>(queue_peak_));
-    queue_depth_m_->set(0.0);
-    pool_live_m_->set(static_cast<double>(pool_.live()));
-    pool_slots_m_->set(static_cast<double>(pool_.slots()));
-    // One final sample at drain so the series always covers the run's end.
-    if (sampler_ != nullptr) {
-      sampler_->sample_now(now_);
-      sampler_next_ = sampler_->next_due();
-    }
+    process_window(sh, CalendarQueue::kNever);
+    publish_drained(sh.queue_peak, sh.pool.live(), sh.pool.slots());
   }
+  merge_lane(sh);
   tracer_->clear_virtual_clock();
-  return now_;
+  return sh.now;
 }
 
 void Simulator::add_wiretap(std::function<void(const TraceEntry&)> tap) {
   wiretaps_.push_back(std::move(tap));
 }
+
+std::size_t Simulator::packets_delivered() const { return home_->deliveries; }
+
+std::uint64_t Simulator::bytes_delivered() const {
+  return home_->delivered_bytes;
+}
+
+const BufferPool& Simulator::payload_pool() const { return home_->pool; }
+
+const FaultStats& Simulator::fault_stats() const { return home_->stats; }
 
 void Simulator::rebuild_fault_tables() {
   for (auto& [key, ls] : links_) ls.impairment = nullptr;
@@ -651,30 +938,32 @@ void Simulator::rebuild_fault_tables() {
   }
 }
 
+void Simulator::reseed_faults(Shard& sh) {
+  sh.fault_rng = std::make_unique<XoshiroRng>(fault_plan_->seed() +
+                                              kShardSeedStride * sh.id);
+  sh.stats = FaultStats{};
+}
+
 void Simulator::fire_breach(const BreachEvent& ev) {
-  Shard* sh = tls_shard_;
-  const bool sharded = sh != nullptr && owns_shard(sh) && sharded_running_;
-  const AddressId id = sharded ? intern_mt(ev.party) : interner_.intern(ev.party);
+  Shard& sh = current_shard();
+  const AddressId id = intern(sh, ev.party);
   if (id < breached_.size() && breached_[id] != kNotBreached) {
     return;  // first breach wins
   }
   if (id >= breached_.size()) breached_.resize(id + 1, kNotBreached);
-  breached_[id] = now();
+  breached_[id] = sh.now;
+  count_fault(sh, &FaultStats::breaches_fired, faults_breaches_m_);
+  std::optional<obs::Span> span;
+  if (!sh.worker) {
+    span.emplace(*tracer_, "fault.breach", "net");
+    span->arg("party", ev.party);
+  }
   // Record the implant before the handler runs: everything the handler
   // marks (and everything the implant subsequently sees) is causally
   // downstream of this event. The ledger dedups per party, so the
   // handler's mark_compromised flowing back through an ObservationSink
-  // is a no-op. Under shards the flow record is deferred and replayed by
-  // the coordinator in (time, shard, seq) order at the next barrier.
-  if (sharded) {
-    note_sharded_breach(*sh, ev.party);
-    if (breach_handler_) breach_handler_(ev);
-    return;
-  }
-  ++fault_stats_.breaches_fired;
-  faults_breaches_m_->inc();
-  obs::Span span(*tracer_, "fault.breach", "net");
-  span.arg("party", ev.party);
+  // is a no-op. On a worker the ledger stages the record on the shard's
+  // lane and commits it at the barrier in (time, shard, seq) order.
   if (flow_) flow_->record_compromise(ev.party, obs::FlowCause::kBreachImplant);
   if (breach_handler_) breach_handler_(ev);
 }
@@ -690,22 +979,21 @@ void Simulator::set_fault_plan(FaultPlan plan) {
     return;
   }
   fault_plan_ = std::move(plan);
-  fault_rng_ = std::make_unique<XoshiroRng>(fault_plan_->seed());
-  fault_stats_ = FaultStats{};
+  reseed_faults(*home_);
   breached_.assign(breached_.size(), kNotBreached);
   bind_fault_metrics();
   rebuild_fault_tables();
   for (const BreachEvent& ev : fault_plan_->breaches()) {
     // A plan installed mid-run may carry an already-elapsed breach time;
     // clamp it so the breach fires immediately instead of at() throwing.
-    at(std::max(ev.time, now_), [this, ev] { fire_breach(ev); });
+    at(std::max(ev.time, now()), [this, ev] { fire_breach(ev); });
   }
 }
 
 void Simulator::set_flow(obs::FlowLedger* ledger) {
   flow_ = ledger;
-  // now() (not now_): on a sharded worker thread the TLS route stamps the
-  // shard's clock, which is the delivering event's exact virtual time.
+  // now(): on a worker thread this is the shard's clock, which is the
+  // delivering event's exact virtual time.
   if (flow_) flow_->set_clock([this] { return now(); });
 }
 
@@ -721,196 +1009,10 @@ std::vector<std::string> Simulator::protocol_names() const {
   return names;
 }
 
-// ---------------------------------------------------------------------------
-// Sharded parallel engine.
-//
-// Conservative synchronization: every worker advances its shard's calendar
-// queue through the window [T_min, T_min + L) where T_min is the global
-// minimum pending event time and L is the lookahead — the minimum latency
-// any cross-shard delivery can possibly take. Any send issued inside the
-// window lands at >= T_min + L, i.e. never inside the window, so workers
-// can process their windows with no mid-window communication; cross-shard
-// deliveries accumulate in bounded mailboxes and are folded into the
-// owner's queue at the barrier in (time, src_shard, src_seq) order.
-// Determinism argument (DESIGN.md §13): the window schedule is a pure
-// function of event content, the per-window mailbox batch *set* is
-// interleaving-independent (every send for the window happens before
-// barrier 1), and the merge key is a total order — so a fixed shard count
-// replays bit-for-bit no matter how threads interleave.
-
-namespace {
-/// Decorrelates per-shard fault RNG streams while leaving shard 0 on the
-/// plan's own seed (stream = seed + stride * shard).
-constexpr std::uint64_t kShardSeedStride = 0x9E3779B97F4A7C15ull;
-/// Mailbox bound: big enough that barrier-rate draining never backpressures
-/// in practice, small enough to bound memory under a pathological window.
-constexpr std::size_t kMailboxCapacity = 16384;
-}  // namespace
-
-/// Delivery observability record (trace entry / wiretap / link-byte
-/// accounting) produced on a worker thread and replayed by the coordinator
-/// at the next barrier in (time, shard, buffer-order) order. Flow-ledger
-/// ops take the parallel FlowLedger staging path instead (see obs/flow.hpp).
-struct Simulator::DeferredOb {
-  Time time = 0;
-  std::uint64_t link_key = 0;
-  std::size_t size = 0;
-  std::uint64_t context = 0;
-  ProtocolId protocol = 0;
-};
-
-/// Per-shard engine state. Between barriers a worker touches only its own
-/// Shard — plus other shards' mailboxes (internally locked) and the
-/// simulator's read-only tables (nodes, links, fault windows).
-struct Simulator::Shard {
-  std::uint32_t id = 0;
-  Simulator* sim = nullptr;
-  // pool before callbacks: parked callbacks may hold PayloadRefs into it.
-  BufferPool pool;
-  CalendarQueue queue;
-  std::vector<std::function<void()>> callbacks;
-  std::vector<std::uint32_t> callback_free;
-  ShardMailbox inbox{kMailboxCapacity};
-  std::vector<ShardEvent> staged;  // drained but not yet enqueued
-  std::uint64_t event_seq = 0;     // local (time, seq) tiebreaker
-  std::uint64_t xfer_seq = 0;      // outgoing cross-shard merge key
-  Time now = 0;
-  std::uint64_t context_counter = 0;
-  std::unique_ptr<XoshiroRng> fault_rng;
-  FaultStats stats;
-  Packet scratch;
-  PayloadHandle current_handle = BufferPool::kInvalid;
-  obs::Histogram latency_hist{std::vector<double>{}};
-  std::vector<DeferredOb> deferred;
-  std::uint64_t events = 0;
-  std::uint64_t deliveries = 0;
-  std::uint64_t delivered_bytes = 0;
-  std::size_t queue_peak = 0;
-  // Tracing plane: shard-namespaced trace-id counter, the trace of the
-  // delivery currently inside on_packet, and a private recorder lane so
-  // hop recording never shares cache lines across workers.
-  std::uint64_t trace_seq = 0;
-  obs::TraceContext cur_trace;
-  bool trace_continued = false;
-  std::unique_ptr<LatencyLane> lane;
-  // Contention telemetry: wall time split between processing and barrier
-  // waits, failed mailbox pushes, and the outgoing traffic row
-  // (traffic[dst] = events pushed to shard dst, diagonal = same-shard
-  // pushes — deterministic; cross/local send counts derive from it).
-  std::uint64_t busy_ns = 0;
-  std::uint64_t barrier_ns = 0;
-  std::uint64_t mailbox_full_stalls = 0;
-  std::vector<std::uint64_t> traffic;
-  std::exception_ptr error;
-};
-
-bool Simulator::owns_shard(const Shard* sh) const { return sh->sim == this; }
-
-bool Simulator::shard_local_pool(const Shard* sh,
-                                 const BufferPool* pool) const {
-  return pool == &pool_ || pool == &sh->pool;
-}
-
-PayloadRef Simulator::sharded_make_payload(Shard& sh, Bytes bytes) {
-  return PayloadRef(&sh.pool, sh.pool.acquire(std::move(bytes)));
-}
-
-void Simulator::sharded_send_shared(Shard& sh, const Address& src,
-                                    const Address& dst,
-                                    const PayloadRef& payload,
-                                    std::uint64_t context,
-                                    const std::string& protocol,
-                                    Time extra_delay) {
-  const AddressId src_id = intern_mt(src);
-  const AddressId dst_id = intern_mt(dst);
-  const std::uint32_t dst_shard = shard_of_id(dst_id);
-  if (dst_shard == sh.id && payload.pool() == &sh.pool) {
-    // Shard-local share: reference the pooled buffer exactly like the
-    // serial path — no copy. Fault rolls and ordering match send().
-    if (dst_id >= nodes_.size() || nodes_[dst_id] == nullptr) {
-      throw std::out_of_range("Simulator: unknown destination " + dst);
-    }
-    const std::uint64_t link_key = pack_link(src_id, dst_id);
-    const SendPlan plan = plan_send_sharded(sh, link_key, src_id,
-                                            payload.bytes().size(),
-                                            extra_delay);
-    if (plan.dropped) return;
-    const ProtocolId proto = intern_protocol_mt(protocol);
-    const obs::TraceContext tc = sharded_next_trace(sh);
-    const PayloadHandle h = payload.handle();
-    if (plan.duplicated) {
-      sh.pool.add_ref(h);
-      sharded_push_local(sh, plan.dup_at, link_key, h, context, proto, tc);
-    }
-    sh.pool.add_ref(h);
-    sharded_push_local(sh, plan.deliver_at, link_key, h, context, proto, tc);
-    return;
-  }
-  // Crossing a shard boundary (or sharing a frozen global-pool buffer):
-  // ownership must change pools, so the share degrades to one copy.
-  Bytes bytes = payload.bytes();
-  sharded_send(sh, src_id, dst_id, dst, std::move(bytes), context, protocol,
-               extra_delay);
-}
-
-Bytes Simulator::detach_payload(std::size_t prefix_len) {
-  BufferPool* pool = &pool_;
-  PayloadHandle h = current_handle_;
-  Bytes* borrowed = &scratch_.payload;
-  if (Shard* sh = tls_shard_; sh != nullptr && owns_shard(sh)) {
-    pool = &sh->pool;
-    h = sh->current_handle;
-    borrowed = &sh->scratch.payload;
-  }
-  if (h == BufferPool::kInvalid) {
-    throw std::logic_error(
-        "Simulator::detach_payload: no delivery in progress");
-  }
-  const std::size_t size = std::min(prefix_len, borrowed->size());
-  Bytes bytes;
-  if (pool->refs(h) == 1) {
-    // Sole reference: the slot dies when this delivery ends, so the buffer
-    // can leave the pool by move. The guard swaps an empty Bytes back.
-    bytes = std::move(*borrowed);
-    bytes.resize(size);
-  } else {
-    // A pending fault-duplicate still needs these bytes: copy the prefix.
-    bytes.assign(borrowed->begin(),
-                 borrowed->begin() + static_cast<std::ptrdiff_t>(size));
-  }
-  return bytes;
-}
-
-void Simulator::note_sharded_breach(Shard& sh, const Address& party) {
-  ++sh.stats.breaches_fired;
-  // Staged capture: the ledger buffers the compromise on this shard's lane
-  // and commits it at the barrier in deterministic merged order.
-  if (flow_ != nullptr) {
-    flow_->record_compromise(party, obs::FlowCause::kBreachImplant);
-  }
-}
-
-Time Simulator::now() const {
-  if (const Shard* sh = tls_shard_; sh != nullptr && owns_shard(sh)) {
-    return sh->now;
-  }
-  return now_;
-}
-
-std::uint64_t Simulator::new_context() {
-  if (Shard* sh = tls_shard_; sh != nullptr && owns_shard(sh)) {
-    // Shard-namespaced: concurrent allocations can't collide, and the ids
-    // a node sees depend only on its own shard's deterministic schedule.
-    return (static_cast<std::uint64_t>(sh->id + 1) << 48) |
-           ++sh->context_counter;
-  }
-  return ++context_counter_;
-}
-
 std::size_t Simulator::queue_depth() const {
-  std::size_t total = queue_.size();
+  std::size_t total = home_->queue.size();
   if (sharded_running_) {
-    for (const auto& sh : shard_v_) total += sh->queue.size();
+    for (const auto& sh : workers_) total += sh->queue.size();
   }
   return total;
 }
@@ -945,6 +1047,25 @@ void Simulator::add_affinity_hint(const Address& a, const Address& b,
   if (weight == 0 || a == b) return;
   affinity_hints_.push_back({interner_.intern(a), interner_.intern(b), weight});
 }
+
+// ---------------------------------------------------------------------------
+// n-shard runs.
+//
+// Conservative synchronization: every worker advances its shard's calendar
+// queue through the window [T_min, T_min + L) where T_min is the global
+// minimum pending event time and L is the lookahead — the minimum latency
+// any cross-shard delivery can possibly take. Any send issued inside the
+// window lands at >= T_min + L, i.e. never inside the window, so workers
+// can process their windows with no mid-window communication; cross-shard
+// deliveries accumulate in bounded mailboxes and are folded into the
+// owner's queue at the barrier in (time, src_shard, src_seq) order.
+// Determinism argument (DESIGN.md §13): the window schedule is a pure
+// function of event content, the per-window mailbox batch *set* is
+// interleaving-independent (every send for the window happens before
+// barrier 1), and the merge key is a total order — so a fixed shard count
+// replays bit-for-bit no matter how threads interleave. Every event runs
+// through the same process_window/dispatch/deliver/send path as a 1-shard
+// run; only routing, id namespaces and observer timing differ.
 
 void Simulator::compute_auto_affinity() {
   auto_shard_.clear();
@@ -998,47 +1119,6 @@ void Simulator::compute_auto_affinity() {
   auto_shard_ = part.partition().assignment;
 }
 
-AddressId Simulator::intern_mt(const Address& name) {
-  {
-    std::shared_lock<std::shared_mutex> lk(interner_mu_);
-    if (auto id = interner_.lookup(name)) return *id;
-  }
-  std::unique_lock<std::shared_mutex> lk(interner_mu_);
-  return interner_.intern(name);
-}
-
-const Address& Simulator::name_mt(AddressId id) const {
-  // The returned reference is node-stable (interner keys); only the id ->
-  // pointer table needs the lock.
-  std::shared_lock<std::shared_mutex> lk(interner_mu_);
-  return interner_.name(id);
-}
-
-ProtocolId Simulator::intern_protocol_mt(const std::string& name) {
-  {
-    std::shared_lock<std::shared_mutex> lk(protocol_mu_);
-    if (auto it = protocol_ids_.find(name); it != protocol_ids_.end()) {
-      return it->second;
-    }
-  }
-  std::unique_lock<std::shared_mutex> lk(protocol_mu_);
-  if (auto it = protocol_ids_.find(name); it != protocol_ids_.end()) {
-    return it->second;
-  }
-  const ProtocolId id = static_cast<ProtocolId>(protocols_.size());
-  protocols_.push_back(
-      std::make_unique<ProtocolInfo>(ProtocolInfo{name, "deliver:" + name}));
-  protocol_ids_.emplace(name, id);
-  return id;
-}
-
-const Simulator::ProtocolInfo& Simulator::protocol_info_mt(
-    ProtocolId id) const {
-  // Entries are heap-stable (unique_ptr); the lock covers table growth.
-  std::shared_lock<std::shared_mutex> lk(protocol_mu_);
-  return *protocols_[id];
-}
-
 std::vector<std::vector<Time>> Simulator::compute_lookahead_matrix() const {
   // L[src][dst] = the minimum latency any src-shard -> dst-shard delivery
   // can take. Unconnected pairs fall back to the default latency, so it
@@ -1085,330 +1165,39 @@ std::vector<std::vector<Time>> Simulator::compute_lookahead_matrix() const {
 }
 
 void Simulator::build_shards() {
-  shard_v_.clear();
-  shard_v_.reserve(shards_);
+  workers_.clear();
+  workers_.reserve(shards_);
   for (std::uint32_t i = 0; i < shards_; ++i) {
-    auto sh = std::make_unique<Shard>();
-    sh->id = i;
-    sh->sim = this;
-    sh->lane = std::make_unique<LatencyLane>();
-    sh->traffic.assign(shards_, 0);
-    if (fault_plan_) {
-      sh->fault_rng = std::make_unique<XoshiroRng>(
-          fault_plan_->seed() + kShardSeedStride * i);
-    }
-    shard_v_.push_back(std::move(sh));
+    workers_.push_back(
+        std::make_unique<Shard>(this, i, shards_, /*is_worker=*/true));
+    if (fault_plan_) reseed_faults(*workers_.back());
   }
 }
 
 void Simulator::redistribute_initial_events() {
-  // Drain the serial queue in its exact (time, seq) order and re-home each
+  // Drain the home queue in its exact (time, seq) order and re-home each
   // event on its owning shard with a fresh shard-local seq — relative order
   // within a shard is preserved, so the partition is deterministic.
-  while (!queue_.empty()) {
-    const EngineEvent ev = queue_.pop();
+  Shard& home = *home_;
+  while (!home.queue.empty()) {
+    EngineEvent ev = home.queue.pop();
     if (ev.kind == EngineEvent::kCallback) {
       // at_node() callbacks carry their owning address (context = id + 1)
       // and run on that address's shard — a workload kickoff originates on
       // the client's own shard instead of turning into a cross-shard push.
       // Untagged at() callbacks stay on shard 0 (workload scaffolding —
       // plan installs, global staging — not per-node hot work).
-      std::function<void()> fn = std::move(callbacks_[ev.handle]);
-      callbacks_[ev.handle] = nullptr;
-      callback_free_.push_back(ev.handle);
       const std::uint32_t target =
           ev.context != 0
               ? shard_of_id(static_cast<AddressId>(ev.context - 1))
               : 0;
-      sharded_at(*shard_v_[target], ev.time, std::move(fn));
+      push_callback(*workers_[target], ev.time,
+                    home.take_callback(ev.handle), 0);
       continue;
     }
-    Shard& sh = *shard_v_[shard_of_id(link_dst(ev.link_key))];
-    EngineEvent nev = ev;
-    nev.seq = ++sh.event_seq;
-    nev.handle = sh.pool.acquire(pool_.take(ev.handle));
-    sh.queue.push(nev);
-    const std::size_t depth = sh.queue.size();
-    if (depth > sh.queue_peak) sh.queue_peak = depth;
-  }
-}
-
-void Simulator::sharded_at(Shard& sh, Time t, std::function<void()> fn) {
-  if (t < sh.now) {
-    throw std::invalid_argument("Simulator::at: time in the past");
-  }
-  std::uint32_t slot;
-  if (!sh.callback_free.empty()) {
-    slot = sh.callback_free.back();
-    sh.callback_free.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(sh.callbacks.size());
-    sh.callbacks.emplace_back();
-  }
-  sh.callbacks[slot] = std::move(fn);
-  EngineEvent ev;
-  ev.time = t;
-  ev.seq = ++sh.event_seq;
-  ev.handle = slot;
-  ev.kind = EngineEvent::kCallback;
-  sh.queue.push(ev);
-  const std::size_t depth = sh.queue.size();
-  if (depth > sh.queue_peak) sh.queue_peak = depth;
-}
-
-obs::TraceContext Simulator::sharded_next_trace(Shard& sh) {
-  if (latency_ == nullptr) return {};
-  if (sh.cur_trace.active()) {
-    sh.trace_continued = true;
-    obs::TraceContext tc = sh.cur_trace;
-    ++tc.hop;
-    return tc;
-  }
-  // Shard-namespaced fresh trace, mirroring new_context(): ids depend only
-  // on the shard's own deterministic schedule, never the wall clock or
-  // thread interleaving.
-  obs::TraceContext tc;
-  const std::uint64_t seq = ++sh.trace_seq;
-  std::uint64_t id = (static_cast<std::uint64_t>(sh.id + 1) << 48) | seq;
-  if (latency_->waterfall_trace(seq)) id |= obs::kTraceWaterfallBit;
-  tc.trace_id = id;
-  tc.origin_us = sh.now;
-  tc.hop = 0;
-  return tc;
-}
-
-void Simulator::sharded_push_local(Shard& sh, Time deliver_at,
-                                   std::uint64_t link_key, PayloadHandle h,
-                                   std::uint64_t context, ProtocolId protocol,
-                                   const obs::TraceContext& tc) {
-  EngineEvent ev;
-  ev.time = deliver_at;
-  ev.seq = ++sh.event_seq;
-  ev.link_key = link_key;
-  ev.context = context;
-  ev.latency_sample = deliver_at - sh.now;
-  ev.trace_id = tc.trace_id;
-  ev.trace_origin = tc.origin_us;
-  ev.trace_hop = tc.hop;
-  ev.handle = h;
-  ev.protocol = protocol;
-  ev.kind = EngineEvent::kDelivery;
-  ++sh.traffic[sh.id];  // diagonal: same-shard sends
-  sh.queue.push(ev);
-  const std::size_t depth = sh.queue.size();
-  if (depth > sh.queue_peak) sh.queue_peak = depth;
-}
-
-void Simulator::sharded_push_remote(Shard& sh, std::uint32_t dst_shard,
-                                    ShardEvent ev) {
-  ++sh.traffic[dst_shard];
-  ShardMailbox& box = shard_v_[dst_shard]->inbox;
-  while (!box.try_push(std::move(ev))) {
-    if (run_abort_ != nullptr &&
-        run_abort_->load(std::memory_order_relaxed)) {
-      return;  // another shard failed; the run is unwinding — drop
-    }
-    // Full: make progress instead of spinning a potential producer cycle —
-    // drain our *own* inbox into the staging buffer (freeing space someone
-    // may be blocked on) and yield to the mailbox owner. Staged events are
-    // enqueued only at the barrier, so drain timing can't affect the merge
-    // order.
-    ++sh.mailbox_full_stalls;
-    sh.inbox.drain(sh.staged);
-    std::this_thread::yield();
-  }
-}
-
-Simulator::SendPlan Simulator::plan_send_sharded(Shard& sh,
-                                                 std::uint64_t link_key,
-                                                 AddressId src_id,
-                                                 std::size_t payload_size,
-                                                 Time extra_delay) {
-  // Mirrors plan_send exactly — same roll order, same arithmetic — but
-  // reads the shard's clock/RNG/stats and skips tracer spans + registry
-  // counters (replayed or folded at barriers instead; the metrics objects
-  // are not thread-safe).
-  const LinkState* link = nullptr;
-  if (auto it = links_.find(link_key); it != links_.end()) {
-    link = &it->second;
-  }
-  SendPlan plan;
-  Time fault_delay = 0;
-  Time dup_delay = 0;
-  if (fault_plan_) {
-    if (partitioned_at(link_key, sh.now)) {
-      ++sh.stats.partition_dropped;
-      plan.dropped = true;
-      return plan;
-    }
-    if (offline_at_id(src_id, sh.now)) {
-      ++sh.stats.offline_dropped;
-      plan.dropped = true;
-      return plan;
-    }
-    const Impairment& imp = link && link->impairment
-                                ? *link->impairment
-                                : fault_plan_->global_impairment();
-    if (imp.active()) {
-      XoshiroRng& rng = *sh.fault_rng;
-      if (imp.loss > 0 && rng.unit() < imp.loss) {
-        ++sh.stats.lost;
-        plan.dropped = true;
-        return plan;
-      }
-      if (imp.duplicate > 0 && rng.unit() < imp.duplicate) {
-        plan.duplicated = true;
-      }
-      if (imp.jitter > 0 && rng.unit() < imp.jitter) {
-        fault_delay =
-            imp.jitter_max_us ? rng.below(imp.jitter_max_us + 1) : 0;
-        ++sh.stats.jittered;
-      }
-      if (plan.duplicated && imp.jitter > 0 && rng.unit() < imp.jitter) {
-        dup_delay = imp.jitter_max_us ? rng.below(imp.jitter_max_us + 1) : 0;
-      }
-    }
-  }
-  Time serialization = 0;
-  if (link && link->bandwidth > 0) {
-    serialization = payload_size * 1000 / link->bandwidth;  // us
-  }
-  const Time latency =
-      link && link->has_latency ? link->latency : default_latency_;
-  const Time base = sh.now + latency + serialization + extra_delay;
-  plan.deliver_at = base + fault_delay;
-  if (plan.duplicated) {
-    ++sh.stats.duplicated;
-    plan.dup_at = base + dup_delay;
-  }
-  if (latency_ != nullptr) {
-    // Same stage stamps as plan_send, into the shard's private lane.
-    sh.lane->link.record(latency);
-    sh.lane->queue_wait.record(serialization + extra_delay + fault_delay);
-  }
-  return plan;
-}
-
-void Simulator::sharded_send(Shard& sh, AddressId src_id, AddressId dst_id,
-                             const Address& dst, Bytes payload,
-                             std::uint64_t context,
-                             const std::string& protocol, Time extra_delay) {
-  if (dst_id >= nodes_.size() || nodes_[dst_id] == nullptr) {
-    throw std::out_of_range("Simulator: unknown destination " + dst);
-  }
-  const std::uint64_t link_key = pack_link(src_id, dst_id);
-  const SendPlan plan =
-      plan_send_sharded(sh, link_key, src_id, payload.size(), extra_delay);
-  if (plan.dropped) return;
-  const ProtocolId proto = intern_protocol_mt(protocol);
-  const obs::TraceContext tc = sharded_next_trace(sh);
-  const std::uint32_t dst_shard = shard_of_id(dst_id);
-  if (dst_shard == sh.id) {
-    const PayloadHandle h = sh.pool.acquire(std::move(payload));
-    if (plan.duplicated) {
-      // Duplicate first — lower seq — exactly the serial engine's order.
-      sh.pool.add_ref(h);
-      sharded_push_local(sh, plan.dup_at, link_key, h, context, proto, tc);
-    }
-    sharded_push_local(sh, plan.deliver_at, link_key, h, context, proto, tc);
-    return;
-  }
-  ShardEvent xev;
-  xev.src_shard = sh.id;
-  xev.link_key = link_key;
-  xev.context = context;
-  xev.trace_id = tc.trace_id;
-  xev.trace_origin = tc.origin_us;
-  xev.trace_hop = tc.hop;
-  xev.protocol = proto;
-  if (plan.duplicated) {
-    ShardEvent dup = xev;
-    dup.time = plan.dup_at;
-    dup.latency_sample = plan.dup_at - sh.now;
-    dup.src_seq = ++sh.xfer_seq;  // lower merge key: duplicate first
-    dup.payload = payload;        // shares degrade to a copy across shards
-    sharded_push_remote(sh, dst_shard, std::move(dup));
-  }
-  xev.time = plan.deliver_at;
-  xev.latency_sample = plan.deliver_at - sh.now;
-  xev.src_seq = ++sh.xfer_seq;
-  xev.payload = std::move(payload);
-  sharded_push_remote(sh, dst_shard, std::move(xev));
-}
-
-void Simulator::sharded_deliver(Shard& sh, const EngineEvent& ev) {
-  const AddressId dst_id = link_dst(ev.link_key);
-  if (fault_plan_ && offline_at_id(dst_id, sh.now)) {
-    ++sh.stats.offline_dropped;
-    sh.pool.release(ev.handle);
-    return;
-  }
-  sh.latency_hist.observe(static_cast<double>(ev.latency_sample));
-  const ProtocolInfo& proto = protocol_info_mt(ev.protocol);
-  const Address& src = name_mt(link_src(ev.link_key));
-  const Address& dst = name_mt(dst_id);
-  PayloadGuard payload(sh.pool, ev.handle, sh.scratch.payload);
-  sh.scratch.src = src;
-  sh.scratch.dst = dst;
-  sh.scratch.context = ev.context;
-  sh.scratch.protocol = proto.name;
-  ++sh.deliveries;
-  sh.delivered_bytes += sh.scratch.payload.size();
-  if (defer_observability_) {
-    DeferredOb ob;
-    ob.time = sh.now;
-    ob.link_key = ev.link_key;
-    ob.size = sh.scratch.payload.size();
-    ob.context = ev.context;
-    ob.protocol = ev.protocol;
-    sh.deferred.push_back(std::move(ob));
-  }
-  // The delivery scope is staged on this shard's ledger lane, so exposures
-  // the handler records land inside it when the batch commits.
-  FlowDeliveryScope flow_scope(flow_, ev.context, proto.name);
-  CurrentDeliveryScope current(sh.current_handle, ev.handle);
-  sh.cur_trace.trace_id = ev.trace_id;
-  sh.cur_trace.origin_us = ev.trace_origin;
-  sh.cur_trace.hop = ev.trace_hop;
-  sh.trace_continued = false;
-  nodes_[dst_id]->on_packet(sh.scratch, *this);
-  if (latency_ != nullptr && ev.trace_id != 0) {
-    if (!sh.trace_continued) {
-      sh.lane->e2e[ev.protocol < LatencyTracer::kMaxProtocols
-                       ? ev.protocol
-                       : LatencyTracer::kMaxProtocols - 1]
-          .record(sh.now - ev.trace_origin);
-    }
-    if ((ev.trace_id & obs::kTraceWaterfallBit) != 0) {
-      // Rare (sampled traces only), so the tracer's span mutex is fine.
-      latency_->add_span({ev.trace_id, ev.trace_hop, ev.protocol,
-                          ev.time - ev.latency_sample, ev.time});
-    }
-  }
-  sh.cur_trace.trace_id = 0;
-}
-
-void Simulator::sharded_dispatch(Shard& sh, const EngineEvent& ev) {
-  if (ev.kind == EngineEvent::kDelivery) {
-    sharded_deliver(sh, ev);
-  } else {
-    std::function<void()> fn = std::move(sh.callbacks[ev.handle]);
-    sh.callbacks[ev.handle] = nullptr;
-    sh.callback_free.push_back(ev.handle);
-    fn();
-  }
-}
-
-void Simulator::process_window(Shard& sh, Time window_end) {
-  std::atomic<bool>* abort = run_abort_;
-  for (;;) {
-    if (abort->load(std::memory_order_relaxed)) return;
-    const Time t = sh.queue.next_time();
-    if (t == CalendarQueue::kNever || t >= window_end) return;
-    const EngineEvent ev = sh.queue.pop();
-    sh.now = ev.time;
-    ++sh.events;
-    sharded_dispatch(sh, ev);
+    Shard& sh = *workers_[shard_of_id(link_dst(ev.link_key))];
+    ev.handle = sh.pool.acquire(home.pool.take(ev.handle));
+    enqueue(sh, ev);
   }
 }
 
@@ -1427,7 +1216,6 @@ void Simulator::drain_inbox_into_queue(Shard& sh) {
   for (ShardEvent& xev : sh.staged) {
     EngineEvent ev;
     ev.time = xev.time;
-    ev.seq = ++sh.event_seq;
     ev.link_key = xev.link_key;
     ev.context = xev.context;
     ev.latency_sample = xev.latency_sample;
@@ -1437,10 +1225,8 @@ void Simulator::drain_inbox_into_queue(Shard& sh) {
     ev.handle = sh.pool.acquire(std::move(xev.payload));
     ev.protocol = xev.protocol;
     ev.kind = EngineEvent::kDelivery;
-    sh.queue.push(ev);
+    enqueue(sh, ev);
   }
-  const std::size_t depth = sh.queue.size();
-  if (depth > sh.queue_peak) sh.queue_peak = depth;
   sh.staged.clear();
 }
 
@@ -1451,37 +1237,27 @@ void Simulator::replay_deferred(Time cutoff) {
   // and every record left behind carries time >= cutoff, so successive
   // prefix replays concatenate into the same global order one end-of-run
   // merge would produce. Incremental barrier work is O(newly safe records).
-  std::vector<std::size_t> idx(shard_v_.size(), 0);
+  std::vector<std::size_t> idx(workers_.size(), 0);
   for (;;) {
-    std::size_t best = shard_v_.size();
+    std::size_t best = workers_.size();
     Time best_time = 0;
-    for (std::size_t s = 0; s < shard_v_.size(); ++s) {
-      const auto& dq = shard_v_[s]->deferred;
+    for (std::size_t s = 0; s < workers_.size(); ++s) {
+      const auto& dq = workers_[s]->deferred;
       if (idx[s] >= dq.size()) continue;
       const Time t = dq[idx[s]].time;
       if (t >= cutoff) continue;
-      if (best == shard_v_.size() || t < best_time) {
+      if (best == workers_.size() || t < best_time) {
         best = s;
         best_time = t;
       }
     }
-    if (best == shard_v_.size()) break;
-    DeferredOb& ob = shard_v_[best]->deferred[idx[best]++];
-    now_ = ob.time;  // taps reading the main clock see the event's time
-    const Address& src = interner_.name(link_src(ob.link_key));
-    const Address& dst = interner_.name(link_dst(ob.link_key));
-    const ProtocolInfo& proto = *protocols_[ob.protocol];
-    if (link_byte_accounting_) {
-      link_bytes_counter(ob.link_key, src, dst).inc(ob.size);
-    }
-    if (record_trace_ || !wiretaps_.empty()) {
-      TraceEntry entry{ob.time, src, dst, ob.size, ob.context, proto.name};
-      for (auto& tap : wiretaps_) tap(entry);
-      if (record_trace_) trace_.push_back(std::move(entry));
-    }
+    if (best == workers_.size()) break;
+    const DeferredOb& ob = workers_[best]->deferred[idx[best]++];
+    home_->now = ob.time;  // taps reading the main clock see the event's time
+    observe_delivery(ob);
   }
-  for (std::size_t s = 0; s < shard_v_.size(); ++s) {
-    auto& dq = shard_v_[s]->deferred;
+  for (std::size_t s = 0; s < workers_.size(); ++s) {
+    auto& dq = workers_[s]->deferred;
     dq.erase(dq.begin(), dq.begin() + static_cast<std::ptrdiff_t>(idx[s]));
   }
 }
@@ -1492,38 +1268,35 @@ void Simulator::apply_pending_plan(Time window_start) {
     fault_plan_ = std::move(*pending_plan_);
     pending_plan_.reset();
   }
-  fault_rng_ = std::make_unique<XoshiroRng>(fault_plan_->seed());
-  fault_stats_ = FaultStats{};
+  reseed_faults(*home_);
   breached_.assign(breached_.size(), kNotBreached);
   bind_fault_metrics();
   rebuild_fault_tables();
-  for (auto& shp : shard_v_) {
-    shp->stats = FaultStats{};
-    shp->fault_rng = std::make_unique<XoshiroRng>(
-        fault_plan_->seed() + kShardSeedStride * shp->id);
-  }
+  for (auto& shp : workers_) reseed_faults(*shp);
   // Breach implants run on shard 0 (like every addressless callback). The
   // floor keeps the calendar's monotonic-push contract: shard 0 may have
   // processed past the next window's start.
-  Shard& sh0 = *shard_v_[0];
+  Shard& sh0 = *workers_[0];
   const Time floor = std::max(window_start, sh0.now);
   for (const BreachEvent& ev : fault_plan_->breaches()) {
-    sharded_at(sh0, std::max(ev.time, floor), [this, ev] { fire_breach(ev); });
+    push_callback(sh0, std::max(ev.time, floor),
+                  [this, ev] { fire_breach(ev); }, 0);
   }
 }
 
 void Simulator::finish_sharded_run(std::uint64_t windows) {
   replay_deferred(~Time{0});  // full drain; covers an abandoned final window
   shard_stats_.windows = windows;
-  Time end = now_;
+  Shard& home = *home_;
   std::uint64_t events = 0, packets = 0, bytes = 0;
   FaultStats faults;
   std::size_t peak = 0;
-  std::size_t pool_live = pool_.live();
-  std::size_t pool_slots = pool_.slots();
-  for (const auto& shp : shard_v_) {
-    const Shard& sh = *shp;
-    end = std::max(end, sh.now);
+  std::size_t pool_live = home.pool.live();
+  std::size_t pool_slots = home.pool.slots();
+  merge_lane(home);
+  for (const auto& shp : workers_) {
+    Shard& sh = *shp;
+    home.now = std::max(home.now, sh.now);
     events += sh.events;
     packets += sh.deliveries;
     bytes += sh.delivered_bytes;
@@ -1537,7 +1310,7 @@ void Simulator::finish_sharded_run(std::uint64_t windows) {
     faults.offline_dropped += sh.stats.offline_dropped;
     faults.breaches_fired += sh.stats.breaches_fired;
     delivery_latency_m_->merge(sh.latency_hist);
-    if (latency_ != nullptr) latency_->merge_lane(*sh.lane);
+    merge_lane(sh);
     shard_stats_.events[sh.id] = sh.events;
     shard_stats_.deliveries[sh.id] = sh.deliveries;
     // The send split derives from the traffic matrix — row sum minus
@@ -1554,18 +1327,17 @@ void Simulator::finish_sharded_run(std::uint64_t windows) {
     shard_stats_.mailbox_full_stalls[sh.id] = sh.mailbox_full_stalls;
     shard_stats_.traffic[sh.id] = sh.traffic;
   }
-  now_ = end;
-  packets_delivered_ += packets;
-  bytes_delivered_ += bytes;
+  home.deliveries += packets;
+  home.delivered_bytes += bytes;
   events_processed_m_->inc(events);
   packets_m_->inc(packets);
   bytes_m_->inc(bytes);
-  fault_stats_.lost += faults.lost;
-  fault_stats_.duplicated += faults.duplicated;
-  fault_stats_.jittered += faults.jittered;
-  fault_stats_.partition_dropped += faults.partition_dropped;
-  fault_stats_.offline_dropped += faults.offline_dropped;
-  fault_stats_.breaches_fired += faults.breaches_fired;
+  home.stats.lost += faults.lost;
+  home.stats.duplicated += faults.duplicated;
+  home.stats.jittered += faults.jittered;
+  home.stats.partition_dropped += faults.partition_dropped;
+  home.stats.offline_dropped += faults.offline_dropped;
+  home.stats.breaches_fired += faults.breaches_fired;
   if (fault_plan_) {
     faults_lost_m_->inc(faults.lost);
     faults_duplicated_m_->inc(faults.duplicated);
@@ -1576,16 +1348,7 @@ void Simulator::finish_sharded_run(std::uint64_t windows) {
   }
   // Peak queue depth is the sum of per-shard peaks — an upper bound on the
   // true global instantaneous peak, deterministic and shard-attributable.
-  // Published on the dedicated peak gauge so queue_depth itself settles at
-  // the drained depth without a phantom end-of-run spike.
-  queue_depth_peak_m_->set(static_cast<double>(peak));
-  queue_depth_m_->set(0.0);
-  pool_live_m_->set(static_cast<double>(pool_live));
-  pool_slots_m_->set(static_cast<double>(pool_slots));
-  if (sampler_ != nullptr) {
-    sampler_->sample_now(now_);
-    sampler_next_ = sampler_->next_due();
-  }
+  publish_drained(peak, pool_live, pool_slots);
 }
 
 Time Simulator::run_sharded() {
@@ -1652,13 +1415,12 @@ Time Simulator::run_sharded() {
   std::vector<Time> next(shards_, CalendarQueue::kNever);
   bool done = false;
   std::uint64_t windows = 0;
-  std::atomic<bool> abort{false};
   std::exception_ptr coordinator_error;
 
   auto refresh_next = [&]() {
     Time t_min = CalendarQueue::kNever;
     for (std::uint32_t i = 0; i < shards_; ++i) {
-      next[i] = shard_v_[i]->queue.next_time();
+      next[i] = workers_[i]->queue.next_time();
       t_min = std::min(t_min, next[i]);
     }
     return t_min;
@@ -1683,9 +1445,8 @@ Time Simulator::run_sharded() {
     open_windows();
   }
 
-  run_abort_ = &abort;
   sharded_running_ = true;
-  tracer_->set_virtual_clock([this] { return now_; });
+  tracer_->set_virtual_clock([this] { return home_->now; });
 
   auto on_window_complete = [&]() noexcept {
     // Runs with every worker parked: exclusive access to all state. The
@@ -1713,14 +1474,15 @@ Time Simulator::run_sharded() {
         pending = pending_plan_.has_value();
       }
       if (pending) {
-        apply_pending_plan(t_min == CalendarQueue::kNever ? now_ : t_min);
+        apply_pending_plan(t_min == CalendarQueue::kNever ? home_->now
+                                                          : t_min);
         t_min = refresh_next();
       }
-      if (abort.load(std::memory_order_relaxed) ||
+      if (abort_.load(std::memory_order_relaxed) ||
           t_min == CalendarQueue::kNever) {
         done = true;
       } else {
-        now_ = t_min;
+        home_->now = t_min;
         if (sampler_ != nullptr && t_min >= sampler_next_) {
           // Window-granular sampling: probes see barrier-consistent state
           // stamped at the window's opening virtual time.
@@ -1742,7 +1504,7 @@ Time Simulator::run_sharded() {
                            on_window_complete);
 
   auto worker = [&](std::uint32_t idx) {
-    Shard& sh = *shard_v_[idx];
+    Shard& sh = *workers_[idx];
     tls_shard_ = &sh;
     obs::FlowLedger::set_lane(idx);
     // Contention attribution: split each round's wall time between doing
@@ -1757,12 +1519,12 @@ Time Simulator::run_sharded() {
     };
     while (!done) {
       const auto t0 = wall::now();
-      if (!abort.load(std::memory_order_relaxed)) {
+      if (!abort_.load(std::memory_order_relaxed)) {
         try {
           process_window(sh, window_end[idx]);
         } catch (...) {
           sh.error = std::current_exception();
-          abort.store(true, std::memory_order_relaxed);
+          abort_.store(true, std::memory_order_relaxed);
         }
       }
       const auto t1 = wall::now();
@@ -1793,34 +1555,34 @@ Time Simulator::run_sharded() {
 
   tracer_->clear_virtual_clock();
   sharded_running_ = false;
-  run_abort_ = nullptr;
+  abort_.store(false, std::memory_order_relaxed);
   // Leave the ledger usable (and flush any last staged ops) even when the
   // run is about to rethrow a worker error.
   if (flow_ != nullptr) flow_->end_staging();
 
   if (coordinator_error) std::rethrow_exception(coordinator_error);
-  for (const auto& sh : shard_v_) {
+  for (const auto& sh : workers_) {
     if (sh->error) std::rethrow_exception(sh->error);
   }
   finish_sharded_run(windows);
-  return now_;
+  return home_->now;
 }
 
 std::uint64_t Simulator::worker_busy_ns() const {
   std::uint64_t total = 0;
-  for (const auto& sh : shard_v_) total += sh->busy_ns;
+  for (const auto& sh : workers_) total += sh->busy_ns;
   return total;
 }
 
 std::uint64_t Simulator::barrier_wait_ns() const {
   std::uint64_t total = 0;
-  for (const auto& sh : shard_v_) total += sh->barrier_ns;
+  for (const auto& sh : workers_) total += sh->barrier_ns;
   return total;
 }
 
 std::uint64_t Simulator::mailbox_backpressure() const {
   std::uint64_t total = 0;
-  for (const auto& sh : shard_v_) total += sh->mailbox_full_stalls;
+  for (const auto& sh : workers_) total += sh->mailbox_full_stalls;
   return total;
 }
 

@@ -9,12 +9,13 @@
 // record traffic metadata for traffic-analysis experiments.
 //
 // Everything is ordered by (time, sequence-number), so runs are exactly
-// reproducible. The default engine is single-threaded; set_shards(n>1)
-// switches run() to a conservative parallel engine — one worker per
-// topology shard, advancing in lookahead-bounded windows and merging
-// cross-shard deliveries in a deterministic (time, src_shard, src_seq)
-// order — that is equally bit-reproducible for a fixed shard count (see
-// DESIGN.md §13).
+// reproducible. There is one engine: every event runs through the same
+// shard-local path, and a serial run is simply the 1-shard case, driven on
+// the calling thread with no threads, barriers or mailboxes. set_shards(n)
+// with n > 1 runs n such shards on n workers that advance in
+// lookahead-bounded windows and merge cross-shard deliveries in a
+// deterministic (time, src_shard, src_seq) order, equally bit-reproducible
+// for a fixed shard count (see DESIGN.md §11, §13).
 //
 // Hot-path layout: the public API speaks string addresses (observation logs
 // and traces need them), but internally every address is interned once into
@@ -41,7 +42,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -78,6 +78,7 @@ struct Packet {
 class Simulator;
 class EngineProfiler;
 class LatencyTracer;
+struct LatencyLane;
 
 /// A participant in the network. Systems subclass this per party
 /// (client, relay, resolver, ...). Nodes are owned by the systems that
@@ -111,7 +112,8 @@ struct TraceEntry {
   std::string protocol;
 };
 
-/// Single-threaded event-driven simulator.
+/// Event-driven simulator: one engine, run on one shard (the calling
+/// thread) or on n shards (n worker threads).
 ///
 /// Observability: every simulator feeds the "sim" scope of the global
 /// metrics registry (events processed, packets/bytes delivered, per-link
@@ -198,8 +200,9 @@ class Simulator {
   void at_node(const Address& affine, Time t, std::function<void()> fn);
 
   /// Runs until the event queue drains. Returns the final virtual time.
-  /// With set_shards(n>1) this dispatches to the sharded parallel engine;
-  /// the default single-shard path is byte-identical to the seed engine.
+  /// With one shard (the default) the engine drains on the calling thread,
+  /// byte-identical to the seed engine; with set_shards(n>1) the same
+  /// engine runs on n worker threads in lookahead windows.
   Time run();
 
   /// Current virtual time. On a shard worker thread this is the shard's
@@ -219,8 +222,8 @@ class Simulator {
   /// take), exchanging cross-shard deliveries through bounded mailboxes
   /// and merging them in deterministic (time, src_shard, src_seq) order —
   /// a fixed shard count replays bit-identically regardless of thread
-  /// interleaving. n == 1 (default) is the serial engine. Must not be
-  /// called while a run is in progress.
+  /// interleaving. n == 1 (default) runs the one shard on the calling
+  /// thread. Must not be called while a run is in progress.
   void set_shards(std::uint32_t n);
   std::uint32_t shards() const { return shards_; }
 
@@ -313,8 +316,8 @@ class Simulator {
   /// and totals are unaffected.
   void set_link_byte_accounting(bool on) { link_byte_accounting_ = on; }
 
-  std::size_t packets_delivered() const { return packets_delivered_; }
-  std::uint64_t bytes_delivered() const { return bytes_delivered_; }
+  std::size_t packets_delivered() const;
+  std::uint64_t bytes_delivered() const;
 
   /// The interner mapping this simulator's addresses to dense ids. Ids are
   /// assigned in deterministic first-use order and are stable for the
@@ -324,7 +327,7 @@ class Simulator {
   /// The payload pool backing in-flight packet bytes (observability/tests:
   /// live() must return to the count of outstanding PayloadRefs once the
   /// queue drains).
-  const BufferPool& payload_pool() const { return pool_; }
+  const BufferPool& payload_pool() const;
 
   /// Events currently pending in the engine queue (telemetry probes).
   /// During a sharded run: the sum over shard queues, valid at barriers.
@@ -392,7 +395,7 @@ class Simulator {
   bool has_fault_plan() const { return fault_plan_.has_value(); }
 
   /// Counters for every fault injected so far this run.
-  const FaultStats& fault_stats() const { return fault_stats_; }
+  const FaultStats& fault_stats() const;
 
   /// Invoked when a scheduled BreachEvent fires (at its virtual time,
   /// during run()). Typical wiring: mark the party's observation log
@@ -410,7 +413,7 @@ class Simulator {
  private:
   /// The queue-depth gauge is sampled every 2^10 queue operations (and
   /// force-flushed at drain) instead of being rewritten on every push/pop;
-  /// the exact high-watermark is tracked separately in queue_peak_ and
+  /// the exact high-watermark is tracked separately per shard and
   /// published through obs::Gauge::peak() when the queue drains.
   static constexpr std::uint64_t kQueueSampleMask = (1u << 10) - 1;
 
@@ -443,51 +446,85 @@ class Simulator {
     std::string deliver_label;
   };
 
-  LinkState& ensure_link(AddressId a, AddressId b);
-  bool partitioned_at(std::uint64_t link_key, Time t) const;
-  bool offline_at_id(AddressId id, Time t) const;
-  void rebuild_fault_tables();
-  void bind_metrics();
-  void bind_fault_metrics();
-
-  /// Link resolution, partition/crash checks, and the loss/dup/jitter
-  /// rolls — in exactly the seed engine's order, so a fixed (workload,
-  /// plan) pair consumes the identical roll sequence.
-  SendPlan plan_send(AddressId src_id, std::uint64_t link_key,
-                     const Address& src, const Address& dst,
-                     std::size_t payload_size, Time extra_delay);
-
-  ProtocolId intern_protocol(const std::string& name);
-
-  /// Trace context for a send issued now: inherits the in-delivery trace
-  /// with hop+1, or opens a fresh one (serial counter id) when a tracer is
-  /// attached; inactive otherwise. Marks the current delivery's trace as
-  /// continued, which is what terminal-hop detection keys off.
-  obs::TraceContext next_trace();
-
-  void push_delivery(Time deliver_at, std::uint64_t link_key, PayloadHandle h,
-                     std::uint64_t context, ProtocolId protocol,
-                     const obs::TraceContext& tc);
-  void dispatch(const EngineEvent& ev);
-  void deliver(const EngineEvent& ev);
-  void note_queue_push();
-  void note_queue_pop();
-  void fire_breach(const BreachEvent& ev);
-  obs::Counter& link_bytes_counter(std::uint64_t link_key, const Address& src,
-                                   const Address& dst);
-
-  // ---- Sharded engine internals (defined in sim.cpp) ----
-
-  /// Per-shard execution state: calendar queue, payload pool, callback
-  /// slots, fault RNG stream, local clock/seq, inbox, and deferred
-  /// observability buffer. Workers touch only their own Shard between
-  /// barriers (plus other shards' mailboxes, which are internally locked).
+  /// Engine state: calendar queue, payload pool, callback slots, clock,
+  /// id counters, fault RNG stream, and the delivery in progress. Every
+  /// engine job is one function taking the Shard it runs on. The home
+  /// shard always exists: it is the whole engine of a 1-shard run and the
+  /// staging queue between runs. An n-shard run adds n worker shards, one
+  /// thread each, which touch only their own Shard between barriers (plus
+  /// other shards' internally locked mailboxes).
   struct Shard;
 
   /// One observability record produced on a worker thread and replayed by
   /// the coordinator at the next barrier in (time, shard, seq) order, so
   /// FlowLedger / wiretap / trace ordering stays causally consistent.
   struct DeferredOb;
+
+  /// The shard the calling thread runs: its worker shard inside an
+  /// n-shard run, the home shard everywhere else.
+  Shard& current_shard() const;
+
+  LinkState& ensure_link(AddressId a, AddressId b);
+  bool partitioned_at(std::uint64_t link_key, Time t) const;
+  bool offline_at_id(AddressId id, Time t) const;
+  void rebuild_fault_tables();
+  void reseed_faults(Shard& sh);
+  void bind_metrics();
+  void bind_fault_metrics();
+
+  // Name tables. The home shard reads them directly; a worker shard reads
+  // through its private caches and takes names_mu_ only on a cache miss
+  // (a name it has not seen yet), so a steady-state event takes no lock.
+  AddressId intern(Shard& sh, const Address& name);
+  const Address& name_of(Shard& sh, AddressId id);
+  ProtocolId intern_protocol(const std::string& name);
+  ProtocolId intern_protocol(Shard& sh, const std::string& name);
+  const ProtocolInfo& protocol_info(Shard& sh, ProtocolId id);
+
+  /// Link resolution, partition/crash checks, and the loss/dup/jitter
+  /// rolls — in exactly the seed engine's order, so a fixed (workload,
+  /// plan) pair consumes the identical roll sequence.
+  SendPlan plan_send(Shard& sh, AddressId src_id, std::uint64_t link_key,
+                     const Address& src, const Address& dst,
+                     std::size_t payload_size, Time extra_delay);
+  /// The shard owning `dst_id` as seen from `sh`: only workers route.
+  std::uint32_t route(const Shard& sh, AddressId dst_id) const;
+
+  /// Trace context for a send issued now: inherits the in-delivery trace
+  /// with hop+1, or opens a fresh one (shard-namespaced counter id) when a
+  /// tracer is attached; inactive otherwise. Marks the current delivery's
+  /// trace as continued, which is what terminal-hop detection keys off.
+  obs::TraceContext next_trace(Shard& sh);
+  LatencyLane& lane(Shard& sh);
+  void merge_lane(Shard& sh);
+
+  void push_delivery(Shard& sh, Time deliver_at, std::uint64_t link_key,
+                     PayloadHandle h, std::uint64_t context,
+                     ProtocolId protocol, const obs::TraceContext& tc);
+  void push_callback(Shard& sh, Time t, std::function<void()> fn,
+                     std::uint64_t tag);
+  void enqueue(Shard& sh, EngineEvent& ev);
+  void push_remote(Shard& sh, std::uint32_t dst_shard, ShardEvent ev);
+  void note_queue_op(Shard& sh);
+  /// Runs `sh` until its queue drains or its next event falls at or after
+  /// `window_end` (kNever: drain).
+  void process_window(Shard& sh, Time window_end);
+  void dispatch(Shard& sh, const EngineEvent& ev);
+  /// Queue/pool gauges and the final sampler point once a run drains.
+  void publish_drained(std::size_t peak, std::size_t pool_live,
+                       std::size_t pool_slots);
+  void deliver(Shard& sh, const EngineEvent& ev);
+  /// Ordered delivery observers: link bytes, the trace, wiretaps.
+  void observe_delivery(const DeferredOb& ob);
+  void count_fault(Shard& sh, std::uint64_t FaultStats::*field,
+                   obs::Counter* counter);
+  void fault_span(const Shard& sh, const char* name, const Address& src,
+                  const Address& dst);
+  void fire_breach(const BreachEvent& ev);
+  obs::Counter& link_bytes_counter(std::uint64_t link_key, const Address& src,
+                                   const Address& dst);
+
+  // ---- n-shard runs (defined in sim.cpp) ----
 
   Time run_sharded();
   /// Pairwise conservative lookahead: L[src][dst] = the minimum latency any
@@ -500,29 +537,7 @@ class Simulator {
   void compute_auto_affinity();
   void build_shards();
   void redistribute_initial_events();
-  void process_window(Shard& sh, Time window_end);
   void drain_inbox_into_queue(Shard& sh);
-  void sharded_dispatch(Shard& sh, const EngineEvent& ev);
-  void sharded_deliver(Shard& sh, const EngineEvent& ev);
-  bool owns_shard(const Shard* sh) const;
-  bool shard_local_pool(const Shard* sh, const BufferPool* pool) const;
-  PayloadRef sharded_make_payload(Shard& sh, Bytes bytes);
-  void note_sharded_breach(Shard& sh, const Address& party);
-  void sharded_send(Shard& sh, AddressId src_id, AddressId dst_id,
-                    const Address& dst, Bytes payload, std::uint64_t context,
-                    const std::string& protocol, Time extra_delay);
-  void sharded_send_shared(Shard& sh, const Address& src, const Address& dst,
-                           const PayloadRef& payload, std::uint64_t context,
-                           const std::string& protocol, Time extra_delay);
-  obs::TraceContext sharded_next_trace(Shard& sh);
-  void sharded_push_local(Shard& sh, Time deliver_at, std::uint64_t link_key,
-                          PayloadHandle h, std::uint64_t context,
-                          ProtocolId protocol, const obs::TraceContext& tc);
-  void sharded_push_remote(Shard& sh, std::uint32_t dst_shard, ShardEvent ev);
-  SendPlan plan_send_sharded(Shard& sh, std::uint64_t link_key,
-                             AddressId src_id, std::size_t payload_size,
-                             Time extra_delay);
-  void sharded_at(Shard& sh, Time t, std::function<void()> fn);
   /// Replays deferred observability records with time < cutoff in global
   /// (time, shard, buffer-order) order and erases the replayed prefixes.
   /// Per-shard buffers are time-nondecreasing (shard clocks are monotone),
@@ -531,55 +546,29 @@ class Simulator {
   void replay_deferred(Time cutoff);
   void apply_pending_plan(Time window_start);
   void finish_sharded_run(std::uint64_t windows);
-  AddressId intern_mt(const Address& name);
-  const Address& name_mt(AddressId id) const;
-  ProtocolId intern_protocol_mt(const std::string& name);
-  const ProtocolInfo& protocol_info_mt(ProtocolId id) const;
 
   AddressInterner interner_;
   std::vector<Node*> nodes_;  // dense, indexed by AddressId; null = no node
   std::unordered_map<std::uint64_t, LinkState> links_;  // pack_link keys
   Time default_latency_ = 10'000;  // 10 ms
-
-  // Engine state. pool_ is declared before the queue and the callback
-  // slots: PayloadRefs captured inside parked callbacks release into the
-  // pool during destruction, so the pool must be torn down last.
-  BufferPool pool_;
-  CalendarQueue queue_;
-  std::vector<std::function<void()>> callbacks_;  // at() slot pool
-  std::vector<std::uint32_t> callback_free_;
   // unique_ptr per entry: references to a ProtocolInfo stay valid across
-  // the table growing, which the sharded path relies on to read labels
-  // outside the protocol lock.
+  // the table growing, which worker name caches rely on.
   std::vector<std::unique_ptr<ProtocolInfo>> protocols_;
   std::unordered_map<std::string, ProtocolId> protocol_ids_;
-  Packet scratch_;  // re-materialized per delivery; capacity is recycled
-  /// Handle of the delivery currently inside Node::on_packet (kInvalid
-  /// outside one) — what detach_payload() consults to steal or share.
-  PayloadHandle current_handle_ = BufferPool::kInvalid;
-
-  std::uint64_t event_seq_ = 0;
-  Time now_ = 0;
-  std::uint64_t context_counter_ = 0;
-  std::uint64_t queue_ops_ = 0;
-  std::size_t queue_peak_ = 0;
 
   std::vector<std::function<void(const TraceEntry&)>> wiretaps_;
   std::vector<TraceEntry> trace_;
   bool record_trace_ = true;
   bool link_byte_accounting_ = true;
-  std::size_t packets_delivered_ = 0;
-  std::uint64_t bytes_delivered_ = 0;
 
-  // Fault injection. The RNG is separate from every protocol RNG so
-  // installing a plan never perturbs protocol-level randomness, and the
-  // fast path stays untouched when no plan is installed. Partition and
-  // crash windows are re-keyed by interned id at set_fault_plan time; the
-  // pointed-to vectors live inside fault_plan_. Breach times are a flat
-  // AddressId-indexed vector (kNotBreached = never).
+  // Fault injection. Each shard rolls from its own XoshiroRng (seed +
+  // stride * shard id), separate from every protocol RNG so installing a
+  // plan never perturbs protocol-level randomness, and the fast path stays
+  // untouched when no plan is installed. Partition and crash windows are
+  // re-keyed by interned id at set_fault_plan time; the pointed-to vectors
+  // live inside fault_plan_. Breach times are a flat AddressId-indexed
+  // vector (kNotBreached = never).
   std::optional<FaultPlan> fault_plan_;
-  std::unique_ptr<XoshiroRng> fault_rng_;
-  FaultStats fault_stats_;
   std::function<void(const BreachEvent&)> breach_handler_;
   std::vector<Time> breached_;
   std::unordered_map<std::uint64_t, const std::vector<Window>*> partitions_m_;
@@ -593,13 +582,9 @@ class Simulator {
   Time sampler_next_ = ~Time{0};
   EngineProfiler* profiler_ = nullptr;
 
-  // Request-tracing plane. cur_trace_ / trace_continued_ track the trace
-  // of the delivery currently inside Node::on_packet on the serial path
-  // (shards keep their own copies); trace_seq_ issues serial trace ids.
+  // Request-tracing plane: hops record into per-shard lanes, merged into
+  // the tracer when a run ends.
   LatencyTracer* latency_ = nullptr;
-  std::uint64_t trace_seq_ = 0;
-  obs::TraceContext cur_trace_;
-  bool trace_continued_ = false;
 
   // Observability sinks: metric handles are cached (stable for the
   // registry's lifetime) so the per-event cost is one add each. Per-link
@@ -625,10 +610,12 @@ class Simulator {
   obs::Counter* faults_offline_m_ = nullptr;
   obs::Counter* faults_breaches_m_ = nullptr;
 
-  // Sharding state. Declared *after* pool_ so per-shard pools (and parked
-  // callbacks holding PayloadRefs into them) tear down before the global
-  // pool. The mutexes guard the interner and protocol tables only while a
-  // sharded run is in flight; the serial path never locks them.
+  // Engine state. The home shard is declared before the workers: parked
+  // worker callbacks may hold PayloadRefs into the home pool, so workers
+  // tear down first.
+  std::unique_ptr<Shard> home_;
+  std::vector<std::unique_ptr<Shard>> workers_;
+
   std::uint32_t shards_ = 1;
   std::unordered_map<AddressId, std::uint32_t> shard_pin_;
   // Auto-affinity placement (kMinCut): recomputed at the start of each
@@ -644,19 +631,17 @@ class Simulator {
   };
   std::vector<AffinityHint> affinity_hints_;
   std::vector<std::vector<std::uint64_t>> affinity_traffic_;
-  std::vector<std::unique_ptr<Shard>> shard_v_;
   ShardRunStats shard_stats_;
   bool sharded_running_ = false;
   bool defer_observability_ = false;
   std::optional<FaultPlan> pending_plan_;
-  mutable std::mutex pending_mu_;           // guards pending_plan_
-  std::atomic<bool>* run_abort_ = nullptr;  // live only inside run_sharded()
-  mutable std::shared_mutex interner_mu_;
-  mutable std::shared_mutex protocol_mu_;
+  mutable std::mutex pending_mu_;  // guards pending_plan_
+  std::atomic<bool> abort_{false};  // a worker failed; the run unwinds
+  std::mutex names_mu_;  // guards name-table growth during n-shard runs
 
   /// The shard whose worker thread is currently executing (null on the
-  /// main thread and in serial runs). send/at/now/new_context route through
-  /// it so node handlers transparently use shard-local state.
+  /// main thread and in 1-shard runs). current_shard() routes through it
+  /// so node handlers transparently use shard-local state.
   static thread_local Shard* tls_shard_;
 };
 

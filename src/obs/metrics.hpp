@@ -279,34 +279,4 @@ class OpCounter {
   std::vector<std::unique_ptr<Binding>> retired_;
 };
 
-/// Cheap pre-resolved, rebindable counter handle. Caches the Counter*
-/// resolved from (scope, name) in one registry and re-resolves only when
-/// handed a *different* registry, so steady-state cost is one pointer
-/// compare + one add — while call sites that outlive registry swaps keep
-/// counting into the currently active registry instead of a stale one.
-/// The usual handle-lifetime contract applies: registries handed to in()
-/// must outlive the handle's next use.
-class CounterHandle {
- public:
-  CounterHandle(std::string scope, std::string name)
-      : scope_(std::move(scope)), name_(std::move(name)) {}
-
-  /// The counter for this handle's (scope, name) inside `registry`,
-  /// re-resolved iff `registry` differs from the last call's.
-  Counter& in(Registry& registry) {
-    if (&registry != bound_) {
-      bound_ = &registry;
-      counter_ = scope_.empty()
-                     ? &registry.counter(name_)
-                     : &registry.scope(scope_).counter(name_);
-    }
-    return *counter_;
-  }
-
- private:
-  std::string scope_, name_;
-  Registry* bound_ = nullptr;
-  Counter* counter_ = nullptr;
-};
-
 }  // namespace dcpl::obs

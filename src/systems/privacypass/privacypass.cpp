@@ -276,18 +276,22 @@ void Client::on_packet(const net::Packet& p, net::Simulator&) {
       Bytes blind_sig = r.vec(2);
       auto sig = crypto::finalize(issuer_key_, it->second.first,
                                   it->second.second, blind_sig);
-      auto cb_it = pending_issue_cbs_.find(p.context);
-      if (sig.ok()) {
-        Token token{it->second.first, std::move(sig.value())};
-        if (cb_it != pending_issue_cbs_.end() && cb_it->second) {
-          cb_it->second(token);
-        }
-        wallet_.push_back(std::move(token));
-      } else if (cb_it != pending_issue_cbs_.end() && cb_it->second) {
-        cb_it->second(Error{"privacypass: finalize failed"});
-      }
-      if (cb_it != pending_issue_cbs_.end()) pending_issue_cbs_.erase(cb_it);
+      Bytes nonce = std::move(it->second.first);
       pending_issuance_.erase(it);
+      IssueCallback cb;
+      if (auto cb_it = pending_issue_cbs_.find(p.context);
+          cb_it != pending_issue_cbs_.end()) {
+        cb = std::move(cb_it->second);
+        pending_issue_cbs_.erase(cb_it);
+      }
+      if (!sig.ok()) {
+        if (cb) cb(Error{"privacypass: finalize failed"});
+        return;
+      }
+      // File the token before the callback runs: a callback that redeems
+      // at once must find it in the wallet.
+      wallet_.push_back(Token{std::move(nonce), std::move(sig.value())});
+      if (cb) cb(wallet_.back());
       return;
     }
 

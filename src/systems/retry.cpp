@@ -32,20 +32,22 @@ net::Time backoff_timeout(const RetryPolicy& policy, unsigned attempt,
   return static_cast<net::Time>(t);
 }
 
+namespace {
+
+/// Counters live in the "retry" scope of the simulator's *current* metrics
+/// registry, resolved at each increment: a bench that redirects metrics via
+/// Simulator::set_metrics (even mid-flow) gets retry counts in its scoped
+/// registry, and no cached pointer can outlive the registry it points into.
+void count(net::Simulator& sim, const char* name) {
+  sim.metrics_registry().scope("retry").counter(name).inc();
+}
+
+}  // namespace
+
 void retry_run(net::Simulator& sim, const RetryPolicy& policy, Rng& rng,
                std::function<void(unsigned attempt)> send,
                std::function<bool()> done,
                std::function<void(const RetryError&)> fail) {
-  // Counters live in the "retry" scope of the simulator's *current* metrics
-  // registry, resolved through rebindable handles at each increment — never
-  // through a static reference bound at first call. A bench that redirects
-  // metrics via Simulator::set_metrics (even mid-flow) gets retry counts in
-  // its scoped registry instead of a stale one.
-  static obs::CounterHandle sends_h("retry", "sends");
-  static obs::CounterHandle resends_h("retry", "resends");
-  static obs::CounterHandle successes_h("retry", "successes");
-  static obs::CounterHandle failures_h("retry", "failures");
-
   struct State {
     unsigned attempt = 0;
     net::Time start = 0;
@@ -66,7 +68,7 @@ void retry_run(net::Simulator& sim, const RetryPolicy& policy, Rng& rng,
   *step = [state, weak = std::weak_ptr<std::function<void()>>(step), &sim,
            &rng, policy] {
     if (state->done && state->done()) {
-      successes_h.in(sim.metrics_registry()).inc();
+      count(sim, "successes");
       return;
     }
     const net::Time elapsed = sim.now() - state->start;
@@ -76,7 +78,7 @@ void retry_run(net::Simulator& sim, const RetryPolicy& policy, Rng& rng,
     if (past_deadline || state->attempt >= policy.max_attempts) {
       // Blind-redundancy flows (no done predicate) just stop resending.
       if (state->done) {
-        failures_h.in(sim.metrics_registry()).inc();
+        count(sim, "failures");
         if (state->fail) {
           state->fail(RetryError{past_deadline
                                      ? RetryErrorKind::kDeadlineExceeded
@@ -86,8 +88,8 @@ void retry_run(net::Simulator& sim, const RetryPolicy& policy, Rng& rng,
       }
       return;
     }
-    sends_h.in(sim.metrics_registry()).inc();
-    if (state->attempt > 0) resends_h.in(sim.metrics_registry()).inc();
+    count(sim, "sends");
+    if (state->attempt > 0) count(sim, "resends");
     state->send(state->attempt);
     ++state->attempt;
     const net::Time wait = backoff_timeout(policy, state->attempt - 1, rng);

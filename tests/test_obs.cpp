@@ -147,28 +147,6 @@ TEST(Metrics, GaugeTracksHighWatermark) {
   EXPECT_EQ(g.peak(), 0.0);
 }
 
-TEST(Metrics, CounterHandleFollowsTheRegistryItIsHanded) {
-  obs::Registry reg_a, reg_b;
-  obs::CounterHandle handle("retry", "sends");
-  handle.in(reg_a).inc();
-  handle.in(reg_a).inc();
-  EXPECT_EQ(reg_a.scope("retry").counter("sends").value(), 2u);
-
-  // Handing a different registry re-resolves; the old one stays frozen.
-  handle.in(reg_b).inc(5);
-  EXPECT_EQ(reg_b.scope("retry").counter("sends").value(), 5u);
-  EXPECT_EQ(reg_a.scope("retry").counter("sends").value(), 2u);
-
-  // Swapping back re-binds to the original counter, preserving its value.
-  handle.in(reg_a).inc();
-  EXPECT_EQ(reg_a.scope("retry").counter("sends").value(), 3u);
-
-  // A scope-less handle resolves at the registry root.
-  obs::CounterHandle root_handle("", "events");
-  root_handle.in(reg_a).inc();
-  EXPECT_EQ(reg_a.counter("events").value(), 1u);
-}
-
 TEST(Metrics, CounterAndGaugeAreThreadSafe) {
   obs::Registry reg;
   obs::Counter& c = reg.counter("hits");

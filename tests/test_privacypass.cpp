@@ -64,6 +64,27 @@ TEST(PrivacyPass, RedemptionGrantsAccess) {
   EXPECT_EQ(f.client->accesses_granted(), 1u);
 }
 
+// Regression: the client used to fire the issuance callback before filing
+// the token, so a callback that redeemed at once found an empty wallet.
+TEST(PrivacyPass, IssueCallbackCanRedeemAtOnce) {
+  Fixture f;
+  bool issued = false;
+  bool redeemed = false;
+  bool served = false;
+  f.client->request_token_reliable(
+      f.sim, RetryPolicy{}, [&](Result<Token> token) {
+        issued = token.ok();
+        redeemed = f.client->access("origin.example", "/now", f.sim,
+                                    [&](bool ok) { served = ok; });
+      });
+  f.sim.run();
+  EXPECT_TRUE(issued);
+  EXPECT_TRUE(redeemed);
+  EXPECT_TRUE(served);
+  EXPECT_EQ(f.origin->served(), 1u);
+  EXPECT_TRUE(f.client->wallet().empty());
+}
+
 TEST(PrivacyPass, AccessWithoutTokenFails) {
   Fixture f;
   EXPECT_FALSE(f.client->access("origin.example", "/p", f.sim));

@@ -281,10 +281,44 @@ TEST(RetryRun, CountersLandInActiveScopedRegistry) {
   EXPECT_EQ(reg_a.scope("retry").counter("sends").value(), 2u);
   EXPECT_EQ(reg_a.scope("retry").counter("failures").value(), 0u);
 
+  // Swapping back resolves the original counters, values preserved.
+  sim.set_metrics(reg_a);
+  retry_run(
+      sim, policy, rng, [](unsigned) {}, [] { return false; }, nullptr);
+  sim.run();
+  EXPECT_EQ(reg_a.scope("retry").counter("sends").value(), 4u);
+  EXPECT_EQ(reg_a.scope("retry").counter("failures").value(), 1u);
+  EXPECT_EQ(reg_b.scope("retry").counter("sends").value(), 2u);
+
   // Nothing leaked into the global default scope.
   EXPECT_EQ(obs::global_registry().scope("sim").scope("retry").counter("sends")
                 .value(),
             global_sends_before);
+}
+
+// Regression: the retry counters were cached per registry *address*, so a
+// registry freed and then reallocated at the same address (two stack
+// registries in consecutive scopes) was handed a dangling counter: the new
+// registry read zero while the increments went to freed memory.
+TEST(RetryRun, CountersFollowARegistryReallocatedAtTheSameAddress) {
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    obs::Registry reg;
+    net::Simulator sim;
+    sim.set_metrics(reg);
+    XoshiroRng rng(1);
+    RetryPolicy policy;
+    policy.max_attempts = 3;
+    unsigned sends = 0;
+    retry_run(
+        sim, policy, rng, [&](unsigned) { ++sends; }, [] { return false; },
+        nullptr);
+    sim.run();
+    EXPECT_EQ(sends, 3u);
+    EXPECT_EQ(reg.scope("retry").counter("sends").value(), 3u);
+    EXPECT_EQ(reg.scope("retry").counter("resends").value(), 2u);
+    EXPECT_EQ(reg.scope("retry").counter("failures").value(), 1u);
+  }
 }
 
 TEST(ReplayCache, StoresAndReplaysByContext) {
