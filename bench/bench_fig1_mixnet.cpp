@@ -53,6 +53,8 @@ int main(int argc, char** argv) {
   }
 
   // Staggered sends so the batch mixing is visible in the trace.
+  std::vector<net::TraceEntry> trace;
+  sim.add_wiretap([&trace](const net::TraceEntry& e) { trace.push_back(e); });
   for (std::size_t i = 0; i < kBatch; ++i) {
     sim.at(1 + 500 * i, [&, i] {
       senders[i]->send_message("message-" + std::to_string(i), chain,
@@ -64,7 +66,7 @@ int main(int argc, char** argv) {
   sim.run();
 
   std::printf("message flow (time us, src -> dst, payload bytes):\n");
-  for (const auto& e : sim.trace()) {
+  for (const auto& e : trace) {
     std::printf("  t=%8llu  %-10s -> %-10s  %5zu B  [%s]\n",
                 static_cast<unsigned long long>(e.time), e.src.c_str(),
                 e.dst.c_str(), e.size, e.protocol.c_str());

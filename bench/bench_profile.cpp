@@ -275,11 +275,7 @@ bool write_html(const std::string& path, const obs::TimeSeriesSampler& s,
     append_bucket_row(out, label, protos[i]);
   }
   out += "</table>\n</body></html>\n";
-
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
-  return std::fclose(f) == 0 && ok;
+  return obs::write_file(path, out);
 }
 
 void print_bucket(const char* label, const net::EngineProfiler::Bucket& b) {
@@ -429,7 +425,8 @@ int main(int argc, char** argv) {
   last.sampler->publish_last_values(obs::global_registry());
   if (ts_trace_path != nullptr) {
     ok &= report.check("ts_trace_written",
-                       last.sampler->write_chrome_trace_file(ts_trace_path));
+                       obs::write_file(ts_trace_path,
+                                       last.sampler->to_chrome_json()));
   }
   if (html_path != nullptr) {
     ok &= report.check("html_written",

@@ -342,7 +342,8 @@ int main(int argc, char** argv) {
                        e2e_total == 2 * static_cast<std::uint64_t>(cap));
   }
   if (!waterfall_path.empty()) {
-    if (!cap_tracer.write_chrome_trace_file(waterfall_path, cap_names)) {
+    if (!obs::write_file(waterfall_path,
+                         cap_tracer.to_chrome_json(cap_names))) {
       std::fprintf(stderr, "bench_scale: cannot write waterfall %s\n",
                    waterfall_path.c_str());
       ok = false;

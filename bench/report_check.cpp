@@ -1,14 +1,20 @@
 // Validates a dcpl-bench-report/1 or /2 JSON file (and optionally a
-// Chrome trace-event file) against the schema report_util.hpp documents.
-// Run by ctest and CI so the machine-readable outputs stay honest: every
-// row's match flag must agree with its derived/expected strings, all_match
-// must agree with the rows, the /2 "timeseries" and "profile" sections
-// must be internally consistent, and the trace must carry simulator
-// virtual time.
+// Chrome trace-event file and a Prometheus text exposition) against the
+// schema report_util.hpp documents. Run by ctest and CI so the
+// machine-readable outputs stay honest: every row's match flag must agree
+// with its derived/expected strings, all_match must agree with the rows,
+// the /2 "timeseries" and "profile" sections must be internally
+// consistent, the trace must carry simulator virtual time, and the
+// exposition must parse with one # TYPE per family and well-formed
+// histograms.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "obs/json.hpp"
 
@@ -22,17 +28,22 @@ bool fail(const char* what) {
   return false;
 }
 
-bool load(const char* path, JsonValue& out) {
+bool read_file(const char* path, std::string& body) {
   std::FILE* f = std::fopen(path, "rb");
   if (!f) {
     std::fprintf(stderr, "report_check: cannot open %s\n", path);
     return false;
   }
-  std::string body;
   char buf[4096];
   std::size_t n;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) body.append(buf, n);
   std::fclose(f);
+  return true;
+}
+
+bool load(const char* path, JsonValue& out) {
+  std::string body;
+  if (!read_file(path, body)) return false;
   if (!JsonParser::parse(body, out)) {
     std::fprintf(stderr, "report_check: %s is not valid JSON\n", path);
     return false;
@@ -516,15 +527,32 @@ bool check_report(const JsonValue& r, std::size_t min_tables) {
   return true;
 }
 
+// Span traces ("X" events) must carry simulator virtual time on at least
+// one span. Counter traces ("C" events, the time-series sampler's export)
+// are stamped on the virtual clock by construction, so a trace of valid
+// counters passes as well.
 bool check_trace(const JsonValue& t) {
   if (!t.is_object()) return fail("trace root is not an object");
   const JsonValue* events = t.find("traceEvents");
   if (!events || !events->is_array()) return fail("missing traceEvents[]");
-  std::size_t spans = 0, with_virtual = 0;
+  std::size_t spans = 0, with_virtual = 0, counters = 0;
   for (const auto& e : events->array) {
     const JsonValue* ph = e.find("ph");
     if (!ph || !ph->is_string()) return fail("event missing ph");
     if (ph->string == "M") continue;  // process_name metadata
+    if (ph->string == "C") {
+      const JsonValue* args = e.find("args");
+      if (!e.has("name") || !e.at("name").is_string() || !e.has("ts") ||
+          !e.at("ts").is_number() || !args || !args->is_object() ||
+          args->object.empty()) {
+        return fail("counter event missing name/ts/args");
+      }
+      for (const auto& [k, v] : args->object) {
+        if (!v.is_number()) return fail("counter value is not a number");
+      }
+      ++counters;
+      continue;
+    }
     if (ph->string != "X") return fail("unexpected event phase");
     if (!e.has("name") || !e.at("name").is_string()) {
       return fail("event missing name");
@@ -539,8 +567,203 @@ bool check_trace(const JsonValue& t) {
       if (args->has("vts_us")) ++with_virtual;
     }
   }
-  if (spans == 0) return fail("trace has no span events");
-  if (with_virtual == 0) return fail("no event carries simulator virtual time");
+  if (spans == 0 && counters == 0) return fail("trace has no span events");
+  if (spans > 0 && with_virtual == 0) {
+    return fail("no event carries simulator virtual time");
+  }
+  return true;
+}
+
+// ---- Prometheus text exposition -------------------------------------------
+
+bool prom_fail(std::size_t line, const char* what) {
+  std::fprintf(stderr, "report_check: prom line %zu: %s\n", line, what);
+  return false;
+}
+
+bool is_name_char(char c, bool first, bool colon) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
+         (colon && c == ':') || (!first && c >= '0' && c <= '9');
+}
+
+// Reads a metric (colon = true) or label name at `pos`.
+bool read_name(std::string_view s, std::size_t& pos, std::string& out,
+               bool colon) {
+  const std::size_t start = pos;
+  while (pos < s.size() && is_name_char(s[pos], pos == start, colon)) ++pos;
+  out.assign(s.substr(start, pos - start));
+  return pos > start;
+}
+
+// strtod reads the exposition's "+Inf", "-Inf" and "NaN" spellings too.
+bool parse_prom_number(std::string_view s, double& out) {
+  if (s.empty()) return false;
+  const std::string text(s);
+  char* end = nullptr;
+  out = std::strtod(text.c_str(), &end);
+  return end == text.c_str() + text.size();
+}
+
+struct PromSample {
+  std::string name;
+  std::vector<std::pair<std::string, std::string>> labels;
+  double value = 0;
+};
+
+// name{label="value",...} value [timestamp]
+bool parse_prom_sample(std::string_view s, PromSample& out) {
+  std::size_t pos = 0;
+  if (!read_name(s, pos, out.name, true)) return false;
+  if (pos < s.size() && s[pos] == '{') {
+    ++pos;
+    while (pos < s.size() && s[pos] != '}') {
+      std::string key, value;
+      if (!read_name(s, pos, key, false)) return false;
+      if (s.substr(pos, 2) != "=\"") return false;
+      pos += 2;
+      while (pos < s.size() && s[pos] != '"') {
+        if (s[pos] == '\\') {
+          if (++pos >= s.size()) return false;
+          const char e = s[pos];
+          if (e == 'n') value += '\n';
+          else if (e == '\\' || e == '"') value += e;
+          else return false;
+        } else {
+          value += s[pos];
+        }
+        ++pos;
+      }
+      if (pos >= s.size()) return false;
+      ++pos;  // closing quote
+      out.labels.emplace_back(std::move(key), std::move(value));
+      if (pos < s.size() && s[pos] == ',') ++pos;
+    }
+    if (pos >= s.size()) return false;
+    ++pos;  // closing brace
+  }
+  if (pos >= s.size() || s[pos] != ' ') return false;
+  const std::string_view rest = s.substr(pos + 1);
+  const std::size_t space = rest.find(' ');
+  if (!parse_prom_number(rest.substr(0, space), out.value)) return false;
+  if (space != std::string_view::npos) {
+    double ts = 0;
+    if (!parse_prom_number(rest.substr(space + 1), ts)) return false;
+  }
+  return true;
+}
+
+// The exposition must parse line by line, every sample must belong to a
+// family with exactly one # TYPE line (declared before its samples), and
+// every histogram series must have nondecreasing `le` edges with
+// nondecreasing cumulative counts, ending in le="+Inf" equal to _count.
+bool check_prom(const std::string& text) {
+  std::map<std::string, std::string> types;  // family -> type
+  struct Series {
+    std::vector<std::pair<double, double>> buckets;  // (le, cumulative)
+    bool has_count = false;
+    double count = 0;
+  };
+  std::map<std::string, Series> histograms;  // family + labels sans le
+  std::size_t line_no = 0, samples = 0;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t eol = text.find('\n', pos);
+    if (eol == std::string::npos) eol = text.size();
+    const std::string_view line(text.data() + pos, eol - pos);
+    pos = eol + 1;
+    ++line_no;
+    if (line.empty()) continue;
+    if (line[0] == '#') {
+      if (line.substr(0, 7) != "# TYPE ") continue;  // HELP and comments
+      const std::string_view decl = line.substr(7);
+      const std::size_t space = decl.find(' ');
+      if (space == std::string_view::npos) {
+        return prom_fail(line_no, "malformed # TYPE line");
+      }
+      const std::string family(decl.substr(0, space));
+      const std::string_view type = decl.substr(space + 1);
+      std::size_t p = 0;
+      std::string name;
+      if (!read_name(family, p, name, true) || p != family.size()) {
+        return prom_fail(line_no, "malformed family name");
+      }
+      if (type != "counter" && type != "gauge" && type != "histogram" &&
+          type != "summary" && type != "untyped") {
+        return prom_fail(line_no, "unknown metric type");
+      }
+      if (!types.emplace(family, std::string(type)).second) {
+        return prom_fail(line_no, "family has more than one # TYPE");
+      }
+      continue;
+    }
+    PromSample sample;
+    if (!parse_prom_sample(line, sample)) {
+      return prom_fail(line_no, "malformed sample line");
+    }
+    ++samples;
+    std::string family = sample.name;
+    std::string suffix;
+    if (types.count(family) == 0) {
+      for (const char* sfx : {"_bucket", "_count", "_sum"}) {
+        const std::size_t n = std::strlen(sfx);
+        if (family.size() > n &&
+            family.compare(family.size() - n, n, sfx) == 0) {
+          family.resize(family.size() - n);
+          suffix = sfx;
+          break;
+        }
+      }
+    }
+    const auto type = types.find(family);
+    if (type == types.end()) {
+      return prom_fail(line_no, "sample without a # TYPE for its family");
+    }
+    if (!suffix.empty() && type->second != "histogram" &&
+        type->second != "summary") {
+      return prom_fail(line_no, "suffixed sample of a non-histogram family");
+    }
+    if (type->second != "histogram") continue;
+    std::string key = family;
+    std::string le;
+    bool has_le = false;
+    for (const auto& [k, v] : sample.labels) {
+      if (k == "le") {
+        le = v;
+        has_le = true;
+      } else {
+        key += "," + k + "=" + v;
+      }
+    }
+    Series& series = histograms[key];
+    if (suffix == "_bucket") {
+      double edge = 0;
+      if (!has_le || !parse_prom_number(le, edge)) {
+        return prom_fail(line_no, "histogram bucket without a numeric le");
+      }
+      if (!series.buckets.empty() &&
+          (edge <= series.buckets.back().first ||
+           sample.value < series.buckets.back().second)) {
+        return prom_fail(line_no, "histogram buckets not nondecreasing");
+      }
+      series.buckets.emplace_back(edge, sample.value);
+    } else if (suffix == "_count") {
+      series.has_count = true;
+      series.count = sample.value;
+    }
+  }
+  for (const auto& [key, series] : histograms) {
+    if (series.buckets.empty() || series.buckets.back().first != HUGE_VAL) {
+      std::fprintf(stderr, "report_check: histogram %s: no +Inf bucket\n",
+                   key.c_str());
+      return false;
+    }
+    if (!series.has_count || series.buckets.back().second != series.count) {
+      std::fprintf(stderr, "report_check: histogram %s: +Inf != _count\n",
+                   key.c_str());
+      return false;
+    }
+  }
+  if (samples == 0) return fail("Prometheus exposition has no samples");
   return true;
 }
 
@@ -670,6 +893,7 @@ bool check_baseline(const JsonValue& r, const JsonValue& base,
 int main(int argc, char** argv) {
   const char* report_path = nullptr;
   const char* trace_path = nullptr;
+  const char* prom_path = nullptr;
   const char* baseline_path = nullptr;
   std::size_t min_tables = 0;
   double tolerance_pct = 15.0;
@@ -683,6 +907,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--prom") == 0 && i + 1 < argc) {
+      prom_path = argv[++i];
     } else if (std::strcmp(argv[i], "--min-tables") == 0 && i + 1 < argc) {
       min_tables =
           static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
@@ -708,13 +934,22 @@ int main(int argc, char** argv) {
       report_path = argv[i];
     }
   }
+  if (prom_path) {
+    std::string text;
+    if (!read_file(prom_path, text) || !check_prom(text)) return 1;
+    if (!report_path) {
+      std::printf("report_check: OK (%s)\n", prom_path);
+      return 0;
+    }
+  }
   if (!report_path) {
     std::fprintf(stderr,
                  "usage: report_check <report.json> [--min-tables N] "
                  "[--require-faults] [--require-flow] [--require-timeseries] "
                  "[--require-profile] [--require-shards] [--require-crypto] "
                  "[--require-latency] [--trace trace.json] "
-                 "[--baseline baseline.json [--tolerance pct]]\n");
+                 "[--baseline baseline.json [--tolerance pct]]\n"
+                 "       report_check --prom metrics.prom\n");
     return 2;
   }
   JsonValue report;

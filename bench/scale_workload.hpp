@@ -263,8 +263,6 @@ inline PointResult run_point(std::size_t n_users,
   obs::Registry local;
   obs::Registry& registry = opts.registry ? *opts.registry : local;
   sim.set_metrics(registry);
-  sim.set_trace_recording(false);
-  sim.set_link_byte_accounting(false);
   if (opts.tracer != nullptr) sim.set_latency_tracer(opts.tracer);
   if (opts.ledger != nullptr) {
     // Worst-case ledger load: every delivery becomes an exposure with a

@@ -5,8 +5,8 @@
 // But a million-user simulation pays for string hashing and allocation on
 // every send if the simulator's internal state is string-keyed, so the
 // simulator interns each address once into a dense `AddressId` and keys
-// every hot-path table (node lookup, link latency/bandwidth/impairment,
-// per-link byte counters) by id — or by a packed id pair for links.
+// every hot-path table (node lookup, link latency/bandwidth/impairment) by
+// id — or by a packed id pair for links.
 //
 // Interning is append-only and deterministic: ids are assigned in first-use
 // order, which is itself deterministic for a fixed workload, so switching

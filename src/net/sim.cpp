@@ -89,11 +89,11 @@ constexpr std::uint64_t kShardSeedStride = 0x9E3779B97F4A7C15ull;
 constexpr std::size_t kMailboxCapacity = 16384;
 }  // namespace
 
-/// Delivery observability record (trace entry / wiretap / link-byte
-/// accounting). The home shard builds one per delivery and observes it at
-/// once; a worker buffers it for the coordinator to replay at the next
-/// barrier in (time, shard, buffer-order) order. Flow-ledger ops take the
-/// parallel FlowLedger staging path instead (see obs/flow.hpp).
+/// Delivery record for the wiretaps, built only while one is attached. The
+/// home shard hands it to the taps at once; a worker buffers it for the
+/// coordinator to replay at the next barrier in (time, shard, buffer-order)
+/// order. Flow-ledger ops take the parallel FlowLedger staging path
+/// instead (see obs/flow.hpp).
 struct Simulator::DeferredOb {
   Time time = 0;
   std::uint64_t link_key = 0;
@@ -174,7 +174,7 @@ struct Simulator::Shard {
   std::unique_ptr<LatencyLane> lane;
 
   // ---- worker-only state ----
-  obs::Histogram latency_hist{std::vector<double>{}};
+  obs::LatencyRecorder latency_hist;  // merged into the registry at run end
   // Private caches of the simulator's name tables; keys and pointers refer
   // into the tables' node-stable storage.
   std::unordered_map<std::string_view, AddressId> address_ids;
@@ -198,7 +198,6 @@ struct Simulator::Shard {
 
 Simulator::Simulator()
     : metrics_(&obs::global_registry().scope("sim")),
-      tracer_(&obs::global_tracer()),
       home_(std::make_unique<Shard>(this, 0, 1, /*is_worker=*/false)) {
   bind_metrics();
 }
@@ -233,19 +232,8 @@ void Simulator::bind_fault_metrics() {
 
 void Simulator::set_metrics(obs::Registry& registry) {
   metrics_ = &registry;
-  link_bytes_m_.clear();
   bind_metrics();
   if (fault_plan_) bind_fault_metrics();
-}
-
-obs::Counter& Simulator::link_bytes_counter(std::uint64_t link_key,
-                                            const Address& src,
-                                            const Address& dst) {
-  auto [it, inserted] = link_bytes_m_.try_emplace(link_key, nullptr);
-  if (inserted) {
-    it->second = &metrics_->counter("link_bytes", {{"link", src + "->" + dst}});
-  }
-  return *it->second;
 }
 
 void Simulator::add_node(Node& node) {
@@ -285,8 +273,11 @@ bool Simulator::has_link(const Address& a, const Address& b) const {
 
 std::optional<Time> Simulator::link_latency(const Address& a,
                                             const Address& b) const {
-  const auto ia = interner_.lookup(a);
-  const auto ib = interner_.lookup(b);
+  // links_ only changes outside a run or at a window barrier, and every
+  // linked address was interned by connect(), so the answer is the same
+  // whatever other workers intern meanwhile.
+  const auto ia = lookup(a);
+  const auto ib = lookup(b);
   if (!ia || !ib) return std::nullopt;
   auto it = links_.find(pack_link(*ia, *ib));
   if (it == links_.end() || !it->second.has_latency) return std::nullopt;
@@ -384,6 +375,12 @@ ProtocolId Simulator::intern_protocol(Shard& sh, const std::string& name) {
                      const ProtocolId id = intern_protocol(n);
                      return std::pair{id, &protocols_[id]->name};
                    });
+}
+
+std::optional<AddressId> Simulator::lookup(const Address& name) const {
+  // A worker's cache miss may be inserting into the interner right now.
+  std::lock_guard<std::mutex> lk(names_mu_);
+  return interner_.lookup(name);
 }
 
 const Simulator::ProtocolInfo& Simulator::protocol_info(Shard& sh,
@@ -509,8 +506,8 @@ void Simulator::count_fault(Shard& sh, std::uint64_t FaultStats::*field,
 void Simulator::fault_span(const Shard& sh, const char* name,
                            const Address& src, const Address& dst) {
   // The tracer is not thread-safe: only the home shard emits spans.
-  if (sh.worker || !tracer_->enabled()) return;
-  obs::Span span(*tracer_, name, "net");
+  if (sh.worker || !obs::global_tracer().enabled()) return;
+  obs::Span span(name, "net");
   span.arg("src", src);
   span.arg("dst", dst);
 }
@@ -751,17 +748,13 @@ std::uint64_t Simulator::new_context() {
 }
 
 void Simulator::observe_delivery(const DeferredOb& ob) {
-  const Address& src = interner_.name(link_src(ob.link_key));
-  const Address& dst = interner_.name(link_dst(ob.link_key));
-  if (link_byte_accounting_) {
-    link_bytes_counter(ob.link_key, src, dst).inc(ob.size);
-  }
-  if (record_trace_ || !wiretaps_.empty()) {
-    TraceEntry entry{ob.time, src,        dst,
-                     ob.size, ob.context, protocols_[ob.protocol]->name};
-    for (auto& tap : wiretaps_) tap(entry);
-    if (record_trace_) trace_.push_back(std::move(entry));
-  }
+  const TraceEntry entry{ob.time,
+                         interner_.name(link_src(ob.link_key)),
+                         interner_.name(link_dst(ob.link_key)),
+                         ob.size,
+                         ob.context,
+                         protocols_[ob.protocol]->name};
+  for (auto& tap : wiretaps_) tap(entry);
 }
 
 void Simulator::deliver(Shard& sh, const EngineEvent& ev) {
@@ -772,13 +765,13 @@ void Simulator::deliver(Shard& sh, const EngineEvent& ev) {
     return;
   }
   (sh.worker ? sh.latency_hist : *delivery_latency_m_)
-      .observe(static_cast<double>(ev.latency_sample));
+      .record(ev.latency_sample);
   const ProtocolInfo& proto = protocol_info(sh, ev.protocol);
   const Address& src = name_of(sh, link_src(ev.link_key));
   const Address& dst = name_of(sh, dst_id);
   std::optional<obs::Span> span;
-  if (!sh.worker && tracer_->enabled()) {
-    span.emplace(*tracer_, proto.deliver_label, "net");
+  if (!sh.worker && obs::global_tracer().enabled()) {
+    span.emplace(proto.deliver_label, "net");
     span->arg("src", src);
     span->arg("dst", dst);
   }
@@ -801,11 +794,13 @@ void Simulator::deliver(Shard& sh, const EngineEvent& ev) {
   // so exposures the handler records land inside it when the batch
   // commits.
   FlowDeliveryScope flow_scope(flow_, ev.context, proto.name);
-  const DeferredOb ob{sh.now, ev.link_key, size, ev.context, ev.protocol};
-  if (sh.worker) {
-    if (defer_observability_) sh.deferred.push_back(ob);
-  } else if (record_trace_ || link_byte_accounting_ || !wiretaps_.empty()) {
-    observe_delivery(ob);
+  if (!wiretaps_.empty()) {
+    const DeferredOb ob{sh.now, ev.link_key, size, ev.context, ev.protocol};
+    if (sh.worker) {
+      sh.deferred.push_back(ob);
+    } else {
+      observe_delivery(ob);
+    }
   }
   CurrentDeliveryScope current(sh.current_handle, ev.handle);
   sh.cur_trace.trace_id = ev.trace_id;
@@ -893,14 +888,15 @@ Time Simulator::run() {
   Shard& sh = *home_;
   // Attach this simulator's virtual clock so any span opened while an event
   // handler runs carries simulated time alongside wall time.
-  tracer_->set_virtual_clock([&sh] { return sh.now; });
+  obs::Tracer& tracer = obs::global_tracer();
+  tracer.set_virtual_clock([&sh] { return sh.now; });
   {
-    obs::Span run_span(*tracer_, "sim.run", "sim");
+    obs::Span run_span(tracer, "sim.run", "sim");
     process_window(sh, CalendarQueue::kNever);
     publish_drained(sh.queue_peak, sh.pool.live(), sh.pool.slots());
   }
   merge_lane(sh);
-  tracer_->clear_virtual_clock();
+  tracer.clear_virtual_clock();
   return sh.now;
 }
 
@@ -944,18 +940,39 @@ void Simulator::reseed_faults(Shard& sh) {
   sh.stats = FaultStats{};
 }
 
+void Simulator::schedule_breaches(Shard& sh, Time floor) {
+  // Parties are interned and the table filled here, at install, so a run
+  // never writes it. A party's first breach is its earliest, ties going to
+  // plan order, which is the order the callbacks below fire in.
+  const std::uint64_t plan = ++breach_plan_;
+  const std::vector<BreachEvent>& breaches = fault_plan_->breaches();
+  std::vector<std::pair<AddressId, Time>> due;
+  for (const BreachEvent& ev : breaches) {
+    due.emplace_back(interner_.intern(ev.party), std::max(ev.time, floor));
+  }
+  breached_.assign(interner_.size(), kNotBreached);
+  for (const auto& [id, t] : due) breached_[id] = std::min(breached_[id], t);
+  std::vector<bool> claimed(breached_.size(), false);
+  for (std::size_t i = 0; i < breaches.size(); ++i) {
+    const auto [id, t] = due[i];
+    // A later breach of a party keeps its event slot but does nothing.
+    const bool first = t == breached_[id] && !claimed[id];
+    if (first) claimed[id] = true;
+    push_callback(
+        sh, t,
+        [this, ev = breaches[i], plan, first] {
+          if (first && plan == breach_plan_) fire_breach(ev);
+        },
+        0);
+  }
+}
+
 void Simulator::fire_breach(const BreachEvent& ev) {
   Shard& sh = current_shard();
-  const AddressId id = intern(sh, ev.party);
-  if (id < breached_.size() && breached_[id] != kNotBreached) {
-    return;  // first breach wins
-  }
-  if (id >= breached_.size()) breached_.resize(id + 1, kNotBreached);
-  breached_[id] = sh.now;
   count_fault(sh, &FaultStats::breaches_fired, faults_breaches_m_);
   std::optional<obs::Span> span;
   if (!sh.worker) {
-    span.emplace(*tracer_, "fault.breach", "net");
+    span.emplace("fault.breach", "net");
     span->arg("party", ev.party);
   }
   // Record the implant before the handler runs: everything the handler
@@ -980,14 +997,12 @@ void Simulator::set_fault_plan(FaultPlan plan) {
   }
   fault_plan_ = std::move(plan);
   reseed_faults(*home_);
-  breached_.assign(breached_.size(), kNotBreached);
   bind_fault_metrics();
   rebuild_fault_tables();
-  for (const BreachEvent& ev : fault_plan_->breaches()) {
-    // A plan installed mid-run may carry an already-elapsed breach time;
-    // clamp it so the breach fires immediately instead of at() throwing.
-    at(std::max(ev.time, now()), [this, ev] { fire_breach(ev); });
-  }
+  // A plan installed mid-run may carry an already-elapsed breach time;
+  // clamp it so the breach fires immediately instead of at() throwing.
+  Shard& sh = current_shard();
+  schedule_breaches(sh, sh.now);
 }
 
 void Simulator::set_flow(obs::FlowLedger* ledger) {
@@ -1269,7 +1284,6 @@ void Simulator::apply_pending_plan(Time window_start) {
     pending_plan_.reset();
   }
   reseed_faults(*home_);
-  breached_.assign(breached_.size(), kNotBreached);
   bind_fault_metrics();
   rebuild_fault_tables();
   for (auto& shp : workers_) reseed_faults(*shp);
@@ -1277,11 +1291,7 @@ void Simulator::apply_pending_plan(Time window_start) {
   // floor keeps the calendar's monotonic-push contract: shard 0 may have
   // processed past the next window's start.
   Shard& sh0 = *workers_[0];
-  const Time floor = std::max(window_start, sh0.now);
-  for (const BreachEvent& ev : fault_plan_->breaches()) {
-    push_callback(sh0, std::max(ev.time, floor),
-                  [this, ev] { fire_breach(ev); }, 0);
-  }
+  schedule_breaches(sh0, std::max(window_start, sh0.now));
 }
 
 void Simulator::finish_sharded_run(std::uint64_t windows) {
@@ -1373,11 +1383,6 @@ Time Simulator::run_sharded() {
   }
   build_shards();
   redistribute_initial_events();
-  // The bench fast path (trace off, link accounting off, no taps) skips
-  // the deferred-delivery buffers entirely; flow-ledger ops ride the
-  // ledger's own staging lanes instead.
-  defer_observability_ =
-      record_trace_ || !wiretaps_.empty() || link_byte_accounting_;
   // One lane per shard plus a dedicated coordinator lane: wiretap taps that
   // record flow ops during the barrier replay must not interleave into a
   // worker's (time-monotone) lane, or the incremental prefix commit would
@@ -1446,7 +1451,8 @@ Time Simulator::run_sharded() {
   }
 
   sharded_running_ = true;
-  tracer_->set_virtual_clock([this] { return home_->now; });
+  obs::Tracer& tracer = obs::global_tracer();
+  tracer.set_virtual_clock([this] { return home_->now; });
 
   auto on_window_complete = [&]() noexcept {
     // Runs with every worker parked: exclusive access to all state. The
@@ -1466,7 +1472,7 @@ Time Simulator::run_sharded() {
       // at exactly t_min stay buffered so they merge with that event's
       // own output next round.
       Time t_min = refresh_next();
-      if (defer_observability_) replay_deferred(t_min);
+      replay_deferred(t_min);
       if (flow_ != nullptr) flow_->commit_staged_before(t_min);
       bool pending = false;
       {
@@ -1553,7 +1559,7 @@ Time Simulator::run_sharded() {
     for (std::thread& t : threads) t.join();
   }
 
-  tracer_->clear_virtual_clock();
+  tracer.clear_virtual_clock();
   sharded_running_ = false;
   abort_.store(false, std::memory_order_relaxed);
   // Leave the ledger usable (and flush any last staged ops) even when the
@@ -1591,8 +1597,9 @@ bool Simulator::is_breached(const Address& party) const {
 }
 
 std::optional<Time> Simulator::breached_at(const Address& party) const {
-  const auto id = interner_.lookup(party);
-  if (!id || *id >= breached_.size() || breached_[*id] == kNotBreached) {
+  const auto id = lookup(party);
+  // kNotBreached is later than any clock.
+  if (!id || *id >= breached_.size() || breached_[*id] > now()) {
     return std::nullopt;
   }
   return breached_[*id];

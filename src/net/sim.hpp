@@ -6,7 +6,9 @@
 // packet's source address is visible to its receiver (like an IP header),
 // payloads are opaque bytes (encrypted payloads are indistinguishable from
 // noise to anyone without the key), and wiretap observers can be attached to
-// record traffic metadata for traffic-analysis experiments.
+// record traffic metadata for traffic-analysis experiments. A wiretap is
+// the only sink that sees individual deliveries in order; the simulator
+// keeps no delivery history of its own.
 //
 // Everything is ordered by (time, sequence-number), so runs are exactly
 // reproducible. There is one engine: every event runs through the same
@@ -115,11 +117,15 @@ struct TraceEntry {
 /// Event-driven simulator: one engine, run on one shard (the calling
 /// thread) or on n shards (n worker threads).
 ///
-/// Observability: every simulator feeds the "sim" scope of the global
-/// metrics registry (events processed, packets/bytes delivered, per-link
-/// bytes, queue depth) and — when the global tracer is enabled — emits one
-/// trace span per packet delivery plus a span per run(), all carrying
-/// virtual timestamps so traces show where simulated time goes.
+/// Observability: six attachments, each used by a caller that needs it —
+/// wiretaps (ordered per-delivery records), a time-series sampler, a cost
+/// profiler, a request-latency tracer, a metrics registry and a flow
+/// ledger. Metrics default to the "sim" scope of the global registry and
+/// hold only aggregates (events processed, packets/bytes delivered, queue
+/// and pool gauges, the delivery-latency histogram), never a per-address
+/// series. When the global tracer is enabled the simulator also emits one
+/// span per packet delivery plus a span per run(), all carrying virtual
+/// timestamps so traces show where simulated time goes.
 class Simulator {
  public:
   Simulator();
@@ -298,23 +304,12 @@ class Simulator {
   std::uint64_t barrier_wait_ns() const;
   std::uint64_t mailbox_backpressure() const;
 
-  /// Adds a passive observer of all deliveries (a global wiretap).
+  /// Adds a passive observer of all deliveries (a global wiretap), called
+  /// once per delivery in delivery order: (time, seq) in a 1-shard run,
+  /// (time, shard, per-shard order) in an n-shard run, where worker
+  /// deliveries are buffered and replayed on the coordinator at each
+  /// window barrier. Nothing is buffered while no tap is attached.
   void add_wiretap(std::function<void(const TraceEntry&)> tap);
-
-  /// Full delivery trace (recorded by default; see set_trace_recording).
-  const std::vector<TraceEntry>& trace() const { return trace_; }
-
-  /// Toggles accumulation of the in-memory delivery trace (on by default).
-  /// Wiretaps, metrics, and packet/byte totals are unaffected. Scale
-  /// workloads (bench_scale) turn it off so million-user runs stay bounded
-  /// in memory.
-  void set_trace_recording(bool on) { record_trace_ = on; }
-
-  /// Toggles per-link labeled byte counters (on by default). One labeled
-  /// counter exists per directed address pair, so workloads with ~10^6
-  /// distinct endpoints turn this off; the aggregate packet/byte counters
-  /// and totals are unaffected.
-  void set_link_byte_accounting(bool on) { link_byte_accounting_ = on; }
 
   std::size_t packets_delivered() const;
   std::uint64_t bytes_delivered() const;
@@ -372,9 +367,6 @@ class Simulator {
   /// activity instead of a stale global handle.
   obs::Registry& metrics_registry() const { return *metrics_; }
 
-  /// Redirects span output (default: the global tracer).
-  void set_tracer(obs::Tracer& tracer) { tracer_ = &tracer; }
-
   /// Attaches a knowledge-flow ledger (nullptr detaches). The simulator
   /// installs its virtual clock on the ledger, brackets every Node::
   /// on_packet with a delivery scope (so exposures logged while a packet is
@@ -390,7 +382,9 @@ class Simulator {
   /// rolls come from a dedicated XoshiroRng seeded by the plan, so a fixed
   /// seed replays the exact same fault sequence. BreachEvents are scheduled
   /// immediately; a breach time already in the past (a plan installed
-  /// mid-run) is clamped to fire at now().
+  /// mid-run) is clamped to fire at now(). Only a party's first breach
+  /// fires, and installing a plan cancels the previous plan's breaches
+  /// that have not fired yet.
   void set_fault_plan(FaultPlan plan);
   bool has_fault_plan() const { return fault_plan_.has_value(); }
 
@@ -405,8 +399,11 @@ class Simulator {
     breach_handler_ = std::move(handler);
   }
 
-  /// Whether (and when) a breach event has fired for `party`. Flat
-  /// id-indexed lookups — no string-compare tree walk on the hot path.
+  /// Whether (and when) `party` has been breached as of now(): its first
+  /// breach time under the installed plan, once the caller's clock has
+  /// reached it. The breach schedule is fixed when the plan is installed,
+  /// so a handler on any shard may ask, and the answer depends only on
+  /// its virtual time, never on thread timing.
   bool is_breached(const Address& party) const;
   std::optional<Time> breached_at(const Address& party) const;
 
@@ -455,9 +452,9 @@ class Simulator {
   /// other shards' internally locked mailboxes).
   struct Shard;
 
-  /// One observability record produced on a worker thread and replayed by
-  /// the coordinator at the next barrier in (time, shard, seq) order, so
-  /// FlowLedger / wiretap / trace ordering stays causally consistent.
+  /// One delivery record produced on a worker thread while a wiretap is
+  /// attached, replayed to the taps by the coordinator at the next barrier
+  /// in (time, shard, seq) order.
   struct DeferredOb;
 
   /// The shard the calling thread runs: its worker shard inside an
@@ -469,6 +466,9 @@ class Simulator {
   bool offline_at_id(AddressId id, Time t) const;
   void rebuild_fault_tables();
   void reseed_faults(Shard& sh);
+  /// Fills the breach table from the installed plan and schedules its
+  /// breaches on `sh`, none earlier than `floor`.
+  void schedule_breaches(Shard& sh, Time floor);
   void bind_metrics();
   void bind_fault_metrics();
 
@@ -480,6 +480,8 @@ class Simulator {
   ProtocolId intern_protocol(const std::string& name);
   ProtocolId intern_protocol(Shard& sh, const std::string& name);
   const ProtocolInfo& protocol_info(Shard& sh, ProtocolId id);
+  /// Id of an already interned name, from any thread (no interning).
+  std::optional<AddressId> lookup(const Address& name) const;
 
   /// Link resolution, partition/crash checks, and the loss/dup/jitter
   /// rolls — in exactly the seed engine's order, so a fixed (workload,
@@ -514,15 +516,13 @@ class Simulator {
   void publish_drained(std::size_t peak, std::size_t pool_live,
                        std::size_t pool_slots);
   void deliver(Shard& sh, const EngineEvent& ev);
-  /// Ordered delivery observers: link bytes, the trace, wiretaps.
+  /// Hands one delivery to the wiretaps.
   void observe_delivery(const DeferredOb& ob);
   void count_fault(Shard& sh, std::uint64_t FaultStats::*field,
                    obs::Counter* counter);
   void fault_span(const Shard& sh, const char* name, const Address& src,
                   const Address& dst);
   void fire_breach(const BreachEvent& ev);
-  obs::Counter& link_bytes_counter(std::uint64_t link_key, const Address& src,
-                                   const Address& dst);
 
   // ---- n-shard runs (defined in sim.cpp) ----
 
@@ -557,20 +557,20 @@ class Simulator {
   std::unordered_map<std::string, ProtocolId> protocol_ids_;
 
   std::vector<std::function<void(const TraceEntry&)>> wiretaps_;
-  std::vector<TraceEntry> trace_;
-  bool record_trace_ = true;
-  bool link_byte_accounting_ = true;
 
   // Fault injection. Each shard rolls from its own XoshiroRng (seed +
   // stride * shard id), separate from every protocol RNG so installing a
   // plan never perturbs protocol-level randomness, and the fast path stays
   // untouched when no plan is installed. Partition and crash windows are
   // re-keyed by interned id at set_fault_plan time; the pointed-to vectors
-  // live inside fault_plan_. Breach times are a flat AddressId-indexed
-  // vector (kNotBreached = never).
+  // live inside fault_plan_. breached_ holds each party's first breach time
+  // (kNotBreached = never), filled when a plan is installed and read-only
+  // during a run; breach callbacks of a replaced plan see a stale
+  // breach_plan_ and do nothing.
   std::optional<FaultPlan> fault_plan_;
   std::function<void(const BreachEvent&)> breach_handler_;
   std::vector<Time> breached_;
+  std::uint64_t breach_plan_ = 0;
   std::unordered_map<std::uint64_t, const std::vector<Window>*> partitions_m_;
   std::unordered_map<AddressId, const std::vector<Window>*> offline_m_;
 
@@ -586,12 +586,9 @@ class Simulator {
   // the tracer when a run ends.
   LatencyTracer* latency_ = nullptr;
 
-  // Observability sinks: metric handles are cached (stable for the
-  // registry's lifetime) so the per-event cost is one add each. Per-link
-  // byte counters are pre-resolved into a flat id-pair-keyed cache — the
-  // "src->dst" label string is built once per pair, never per packet.
+  // Metric handles are cached (stable for the registry's lifetime) so the
+  // per-event cost is one add each.
   obs::Registry* metrics_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
   obs::Counter* events_processed_m_ = nullptr;
   obs::Counter* packets_m_ = nullptr;
   obs::Counter* bytes_m_ = nullptr;
@@ -599,8 +596,7 @@ class Simulator {
   obs::Gauge* queue_depth_peak_m_ = nullptr;
   obs::Gauge* pool_live_m_ = nullptr;
   obs::Gauge* pool_slots_m_ = nullptr;
-  obs::Histogram* delivery_latency_m_ = nullptr;
-  std::unordered_map<std::uint64_t, obs::Counter*> link_bytes_m_;
+  obs::LatencyRecorder* delivery_latency_m_ = nullptr;
   // Fault counters are only registered once a plan is installed, so
   // fault-free runs keep their metric snapshots unchanged.
   obs::Counter* faults_lost_m_ = nullptr;
@@ -633,11 +629,10 @@ class Simulator {
   std::vector<std::vector<std::uint64_t>> affinity_traffic_;
   ShardRunStats shard_stats_;
   bool sharded_running_ = false;
-  bool defer_observability_ = false;
   std::optional<FaultPlan> pending_plan_;
   mutable std::mutex pending_mu_;  // guards pending_plan_
   std::atomic<bool> abort_{false};  // a worker failed; the run unwinds
-  std::mutex names_mu_;  // guards name-table growth during n-shard runs
+  mutable std::mutex names_mu_;  // guards name-table growth during n-shard runs
 
   /// The shard whose worker thread is currently executing (null on the
   /// main thread and in 1-shard runs). current_shard() routes through it

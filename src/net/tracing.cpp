@@ -1,7 +1,8 @@
 #include "net/tracing.hpp"
 
 #include <bit>
-#include <cstdio>
+
+#include "obs/trace.hpp"
 
 namespace dcpl::net {
 
@@ -55,53 +56,38 @@ void LatencyTracer::reset() {
   spans_dropped_ = 0;
 }
 
-void LatencyTracer::write_chrome_trace(
-    obs::JsonWriter& w, const std::vector<std::string>& protocol_names) const {
-  std::vector<WaterfallSpan> snapshot = spans();
-  w.begin_object();
-  w.key("traceEvents");
-  w.begin_array();
-  for (const WaterfallSpan& s : snapshot) {
-    w.begin_object();
-    const char* name = "delivery";
-    if (s.protocol < protocol_names.size()) {
-      name = protocol_names[s.protocol].c_str();
+std::string LatencyTracer::to_chrome_json(
+    const std::vector<std::string>& protocol_names) const {
+  const std::vector<WaterfallSpan> snapshot = spans();
+  return obs::chrome_trace([&](obs::JsonWriter& w) {
+    for (const WaterfallSpan& s : snapshot) {
+      w.begin_object();
+      const char* name = "delivery";
+      if (s.protocol < protocol_names.size()) {
+        name = protocol_names[s.protocol].c_str();
+      }
+      w.kv("name", name);
+      w.kv("cat", "waterfall");
+      w.kv("ph", "X");
+      w.kv("pid", 1);
+      // One trace row per hop index: a sampled request reads top-to-bottom
+      // as a waterfall across its hops.
+      w.kv("tid", static_cast<std::uint64_t>(s.hop));
+      w.kv("ts", static_cast<std::uint64_t>(s.sched_us));
+      w.kv("dur", static_cast<std::uint64_t>(s.fire_us - s.sched_us));
+      w.key("args");
+      w.begin_object();
+      w.kv("trace_id", s.trace_id & ~obs::kTraceWaterfallBit);
+      w.kv("hop", static_cast<std::uint64_t>(s.hop));
+      w.kv("sched_vts_us", static_cast<std::uint64_t>(s.sched_us));
+      w.kv("fire_vts_us", static_cast<std::uint64_t>(s.fire_us));
+      // Virtual-time tag shared with the global tracer's span format, so
+      // waterfall files satisfy the same report_check --trace validation.
+      w.kv("vts_us", static_cast<std::uint64_t>(s.fire_us));
+      w.end_object();
+      w.end_object();
     }
-    w.kv("name", name);
-    w.kv("cat", "waterfall");
-    w.kv("ph", "X");
-    w.kv("pid", 1);
-    // One trace row per hop index: a sampled request reads top-to-bottom
-    // as a waterfall across its hops.
-    w.kv("tid", static_cast<std::uint64_t>(s.hop));
-    w.kv("ts", static_cast<std::uint64_t>(s.sched_us));
-    w.kv("dur", static_cast<std::uint64_t>(s.fire_us - s.sched_us));
-    w.key("args");
-    w.begin_object();
-    w.kv("trace_id", s.trace_id & ~obs::kTraceWaterfallBit);
-    w.kv("hop", static_cast<std::uint64_t>(s.hop));
-    w.kv("sched_vts_us", static_cast<std::uint64_t>(s.sched_us));
-    w.kv("fire_vts_us", static_cast<std::uint64_t>(s.fire_us));
-    // Virtual-time tag shared with the global tracer's span format, so
-    // waterfall files satisfy the same report_check --trace validation.
-    w.kv("vts_us", static_cast<std::uint64_t>(s.fire_us));
-    w.end_object();
-    w.end_object();
-  }
-  w.end_array();
-  w.kv("displayTimeUnit", "ms");
-  w.end_object();
-}
-
-bool LatencyTracer::write_chrome_trace_file(
-    const std::string& path, const std::vector<std::string>& names) const {
-  obs::JsonWriter w;
-  write_chrome_trace(w, names);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::string& text = w.str();
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
+  });
 }
 
 }  // namespace dcpl::net

@@ -36,7 +36,6 @@
 
 #include "net/address.hpp"
 #include "net/engine.hpp"
-#include "obs/json.hpp"
 #include "obs/latency.hpp"
 
 namespace dcpl::net {
@@ -104,13 +103,12 @@ class LatencyTracer {
   /// percentiles to recording directly (the serial path).
   void merge_lane(const struct LatencyLane& lane);
 
-  /// Chrome trace "X" spans on the virtual timeline: pid 1, tid = hop
-  /// index, ts/dur in virtual microseconds, name = protocol label from
-  /// `protocol_names` (Simulator::protocol_names()).
-  void write_chrome_trace(obs::JsonWriter& w,
-                          const std::vector<std::string>& protocol_names) const;
-  bool write_chrome_trace_file(const std::string& path,
-                               const std::vector<std::string>& names) const;
+  /// Chrome trace "X" spans on the virtual timeline in the
+  /// obs::chrome_trace envelope: pid 1, tid = hop index, ts/dur in virtual
+  /// microseconds, name = protocol label from `protocol_names`
+  /// (Simulator::protocol_names()).
+  std::string to_chrome_json(
+      const std::vector<std::string>& protocol_names) const;
 
  private:
   std::uint64_t waterfall_mask_;

@@ -1,7 +1,6 @@
 #include "obs/flow.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "obs/json.hpp"
@@ -430,17 +429,6 @@ void FlowLedger::write_jsonl(std::string& out,
     out += w.str();
     out += '\n';
   }
-}
-
-bool FlowLedger::write_jsonl_file(const std::string& path,
-                                  std::string_view run_label) const {
-  std::string text;
-  write_jsonl(text, run_label);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 // ---------------------------------------------------------------------------

@@ -212,8 +212,6 @@ class FlowLedger final : public core::ObservationSink {
   /// Appends one JSON object per resident event to `out`. `run_label` tags
   /// each line (ids restart per ledger, so multi-run files need it).
   void write_jsonl(std::string& out, std::string_view run_label = "") const;
-  bool write_jsonl_file(const std::string& path,
-                        std::string_view run_label = "") const;
 
  private:
   struct Frontier {

@@ -21,6 +21,16 @@
 
 namespace dcpl::obs {
 
+/// Writes `body` to `path`, replacing any previous contents. The one file
+/// writer behind every artifact (reports, traces, flow logs, Prometheus
+/// text, HTML); returns false on any I/O failure.
+inline bool write_file(const std::string& path, std::string_view body) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
+  return std::fclose(f) == 0 && ok;
+}
+
 /// Escapes `s` for inclusion inside a JSON string literal (no quotes added).
 /// Valid UTF-8 passes through verbatim; C0 controls, DEL, and bytes that do
 /// not form a valid UTF-8 sequence (stray continuations, overlongs,

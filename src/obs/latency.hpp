@@ -4,10 +4,11 @@
 // log2 octaves subdivided into 2^kSubBits linear sub-buckets, so every
 // recorded value is reproduced by quantile() with relative error at most
 // 2^-kSubBits (12.5% with the default 3 sub-bits) while the whole recorder
-// stays a flat ~4 KB array of atomics. This is deliberately distinct from
-// the bounds-based obs::Histogram: that one needs its bucket edges chosen
-// up front and is single-writer; this one covers the full uint64 range,
-// is wait-free to record into from any thread (one relaxed fetch_add per
+// stays a flat ~4 KB array of atomics. It is the repo's one histogram
+// type: the tracing plane's recorders and every obs::Registry histogram
+// (the simulator's delivery_latency_us among them) are LatencyRecorders.
+// It covers the full uint64 range with no bucket edges to choose, is
+// wait-free to record into from any thread (one relaxed fetch_add per
 // bucket), and merges lock-free. Because recording is a commutative
 // integer add, the same multiset of samples yields bit-identical bucket
 // counts no matter how many threads recorded them or in what order —

@@ -1,80 +1,9 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <cstdio>
 
 namespace dcpl::obs {
-
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)) {
-  if (bounds_.empty()) bounds_ = default_bounds();
-  std::sort(bounds_.begin(), bounds_.end());
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
-std::vector<double> Histogram::default_bounds() {
-  // 1, 2, 4, ... 2^24: covers microsecond latencies up to ~16.7 s.
-  std::vector<double> b;
-  for (int i = 0; i <= 24; ++i) b.push_back(static_cast<double>(1u << i));
-  return b;
-}
-
-void Histogram::observe(double v) {
-  auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  counts_[static_cast<std::size_t>(it - bounds_.begin())]++;
-  ++count_;
-  sum_ += v;
-  min_ = std::min(min_, v);
-  max_ = std::max(max_, v);
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (bounds_ != other.bounds_) {
-    throw std::invalid_argument("Histogram::merge: mismatched bucket bounds");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-void Histogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_ = 0;
-  min_ = std::numeric_limits<double>::infinity();
-  max_ = -std::numeric_limits<double>::infinity();
-}
-
-double Histogram::quantile(double q) const {
-  if (count_ == 0) return 0;
-  // A single sample IS every quantile; interpolating inside its bucket would
-  // report a value never observed.
-  if (count_ == 1) return max_;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count_);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cumulative += counts_[i];
-    if (static_cast<double>(cumulative) < target) continue;
-    if (counts_[i] == 0) continue;
-    // Overflow bucket has no upper edge: report the observed max.
-    if (i == bounds_.size()) return max_;
-    const double hi = bounds_[i];
-    const double lo = i == 0 ? std::min(min_, hi) : bounds_[i - 1];
-    const double into =
-        static_cast<double>(counts_[i]) -
-        (static_cast<double>(cumulative) - target);
-    const double v = lo + (hi - lo) * into / static_cast<double>(counts_[i]);
-    // Interpolation can step outside the observed range when a bucket is
-    // wider than the samples it holds; never report a value outside it.
-    return std::clamp(v, min_, max_);
-  }
-  return max_;
-}
 
 namespace {
 
@@ -119,7 +48,6 @@ void Snapshot::write_json(JsonWriter& w) const {
       case SnapshotEntry::Kind::kHistogram:
         w.begin_object();
         w.kv("count", static_cast<std::uint64_t>(e.value));
-        w.kv("sum", e.sum);
         w.kv("min", e.min);
         w.kv("max", e.max);
         w.kv("p50", e.p50);
@@ -146,11 +74,10 @@ Gauge& Registry::gauge(const std::string& name, Labels labels) {
   return *slot;
 }
 
-Histogram& Registry::histogram(const std::string& name, Labels labels,
-                               std::vector<double> bounds) {
+LatencyRecorder& Registry::histogram(const std::string& name, Labels labels) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[{name, sorted(std::move(labels))}];
-  if (!slot) slot = std::make_unique<Histogram>(std::move(bounds));
+  if (!slot) slot = std::make_unique<LatencyRecorder>();
   return *slot;
 }
 
@@ -199,12 +126,11 @@ void Registry::snapshot_into(const std::string& prefix, Snapshot& out) const {
     e.name = prefix + key.first;
     e.labels = key.second;
     e.value = static_cast<double>(h->count());
-    e.sum = h->sum();
-    e.min = h->min();
-    e.max = h->max();
-    e.p50 = h->quantile(0.50);
-    e.p95 = h->quantile(0.95);
-    e.p99 = h->quantile(0.99);
+    e.min = static_cast<double>(h->min());
+    e.max = static_cast<double>(h->max());
+    e.p50 = static_cast<double>(h->quantile(0.50));
+    e.p95 = static_cast<double>(h->quantile(0.95));
+    e.p99 = static_cast<double>(h->quantile(0.99));
     out.entries.push_back(std::move(e));
   }
   for (const auto& [name, child] : children_) {
@@ -263,8 +189,8 @@ std::string prom_labels(const Labels& labels, const std::string& extra_key = "",
 }
 
 std::string prom_number(double v) {
-  if (v == static_cast<double>(static_cast<std::int64_t>(v)) &&
-      v >= -9.0e18 && v <= 9.0e18) {
+  if (v >= -9.0e18 && v <= 9.0e18 &&
+      v == static_cast<double>(static_cast<std::int64_t>(v))) {
     return std::to_string(static_cast<std::int64_t>(v));
   }
   char buf[40];
@@ -300,6 +226,11 @@ void Registry::prometheus_into(const std::string& prefix,
   }
   last_family.clear();
   for (const auto& [key, g] : gauges_) {
+    // A gauge that is itself named `<x>_peak` owns that family; the
+    // companion of `<x>` would expose it a second time.
+    const std::string peak = key.first + "_peak";
+    const auto owner = gauges_.lower_bound({peak, {}});
+    if (owner != gauges_.end() && owner->first.first == peak) continue;
     const std::string family = prom_name(prefix + key.first) + "_peak";
     prom_type(out, last_family, family, "gauge");
     out += family + prom_labels(key.second) + " " + prom_number(g->peak()) +
@@ -309,21 +240,22 @@ void Registry::prometheus_into(const std::string& prefix,
   for (const auto& [key, h] : histograms_) {
     const std::string family = prom_name(prefix + key.first);
     prom_type(out, last_family, family, "histogram");
+    // One `le` edge per non-empty bucket: a bucket's upper edge bounds
+    // every sample in it, and empty buckets add no information.
     std::uint64_t cumulative = 0;
-    const auto& bounds = h->bounds();
-    const auto& counts = h->bucket_counts();
-    for (std::size_t i = 0; i < bounds.size(); ++i) {
-      cumulative += counts[i];
+    for (std::size_t i = 0; i < LatencyRecorder::kBucketCount; ++i) {
+      const std::uint64_t c = h->bucket(i);
+      if (c == 0) continue;
+      cumulative += c;
       out += family + "_bucket" +
-             prom_labels(key.second, "le", prom_number(bounds[i])) + " " +
-             std::to_string(cumulative) + "\n";
+             prom_labels(key.second, "le",
+                         std::to_string(LatencyRecorder::bucket_upper(i))) +
+             " " + std::to_string(cumulative) + "\n";
     }
     out += family + "_bucket" + prom_labels(key.second, "le", "+Inf") + " " +
-           std::to_string(h->count()) + "\n";
-    out += family + "_sum" + prom_labels(key.second) + " " +
-           prom_number(h->sum()) + "\n";
+           std::to_string(cumulative) + "\n";
     out += family + "_count" + prom_labels(key.second) + " " +
-           std::to_string(h->count()) + "\n";
+           std::to_string(cumulative) + "\n";
   }
   for (const auto& [name, child] : children_) {
     child->prometheus_into(prefix + name + ".", out);

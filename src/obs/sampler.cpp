@@ -1,6 +1,6 @@
 #include "obs/sampler.hpp"
 
-#include <cstdio>
+#include "obs/trace.hpp"
 
 namespace dcpl::obs {
 
@@ -94,48 +94,25 @@ void TimeSeriesSampler::publish_last_values(Registry& registry) const {
   }
 }
 
-void TimeSeriesSampler::write_chrome_trace(JsonWriter& w) const {
-  w.begin_object();
-  w.key("traceEvents");
-  w.begin_array();
-  w.begin_object();
-  w.kv("ph", "M");
-  w.kv("name", "process_name");
-  w.kv("pid", 3);
-  w.kv("tid", 1);
-  w.key("args");
-  w.begin_object();
-  w.kv("name", "telemetry (virtual time)");
-  w.end_object();
-  w.end_object();
-  for (const Probe& p : probes_) {
-    for (std::size_t i = 0; i < times_.size(); ++i) {
-      w.begin_object();
-      w.kv("ph", "C");
-      w.kv("name", p.name);
-      w.kv("pid", 3);
-      w.kv("tid", 1);
-      w.kv("ts", times_[i]);
-      w.key("args");
-      w.begin_object();
-      w.kv("value", p.points[i]);
-      w.end_object();
-      w.end_object();
+std::string TimeSeriesSampler::to_chrome_json() const {
+  return chrome_trace([this](JsonWriter& w) {
+    write_process_name(w, 3, "telemetry (virtual time)");
+    for (const Probe& p : probes_) {
+      for (std::size_t i = 0; i < times_.size(); ++i) {
+        w.begin_object();
+        w.kv("ph", "C");
+        w.kv("name", p.name);
+        w.kv("pid", 3);
+        w.kv("tid", 1);
+        w.kv("ts", times_[i]);
+        w.key("args");
+        w.begin_object();
+        w.kv("value", p.points[i]);
+        w.end_object();
+        w.end_object();
+      }
     }
-  }
-  w.end_array();
-  w.end_object();
-}
-
-bool TimeSeriesSampler::write_chrome_trace_file(
-    const std::string& path) const {
-  JsonWriter w;
-  write_chrome_trace(w);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string& body = w.str();
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  return std::fclose(f) == 0 && ok;
+  });
 }
 
 }  // namespace dcpl::obs

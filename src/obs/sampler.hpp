@@ -95,10 +95,10 @@ class TimeSeriesSampler {
   /// sampler's current state as dcpl_ts_<name> gauges.
   void publish_last_values(Registry& registry) const;
 
-  /// Chrome trace counter events ("ph":"C", pid 3) — load next to the span
-  /// trace to see the series on the virtual timeline in Perfetto.
-  void write_chrome_trace(JsonWriter& w) const;
-  bool write_chrome_trace_file(const std::string& path) const;
+  /// Chrome trace counter events ("ph":"C", pid 3) in the obs::chrome_trace
+  /// envelope — load next to the span trace to see the series on the
+  /// virtual timeline in Perfetto.
+  std::string to_chrome_json() const;
 
  private:
   struct Probe {

@@ -1,7 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
-
 namespace dcpl::obs {
 
 namespace {
@@ -30,6 +28,20 @@ void write_event(JsonWriter& w, const TraceEvent& e, int pid,
   w.end_object();
 }
 
+}  // namespace
+
+std::string chrome_trace(const std::function<void(JsonWriter&)>& events) {
+  JsonWriter w;
+  w.begin_object();
+  w.key("traceEvents");
+  w.begin_array();
+  events(w);
+  w.end_array();
+  w.kv("displayTimeUnit", "ms");
+  w.end_object();
+  return w.take();
+}
+
 void write_process_name(JsonWriter& w, int pid, const char* name) {
   w.begin_object();
   w.kv("name", "process_name");
@@ -43,8 +55,6 @@ void write_process_name(JsonWriter& w, int pid, const char* name) {
   w.end_object();
 }
 
-}  // namespace
-
 Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
 
 std::uint64_t Tracer::wall_now_us() const {
@@ -54,39 +64,20 @@ std::uint64_t Tracer::wall_now_us() const {
           .count());
 }
 
-void Tracer::write_chrome_json(JsonWriter& w) const {
-  w.begin_object();
-  w.key("traceEvents");
-  w.begin_array();
-  write_process_name(w, kWallPid, "wall clock");
-  bool any_virtual = false;
-  for (const auto& e : events_) {
-    write_event(w, e, kWallPid, e.ts_us, e.dur_us);
-    any_virtual |= e.has_virtual;
-  }
-  if (any_virtual) {
+std::string Tracer::to_chrome_json() const {
+  return chrome_trace([this](JsonWriter& w) {
+    write_process_name(w, kWallPid, "wall clock");
+    bool any_virtual = false;
+    for (const auto& e : events_) {
+      write_event(w, e, kWallPid, e.ts_us, e.dur_us);
+      any_virtual |= e.has_virtual;
+    }
+    if (!any_virtual) return;
     write_process_name(w, kVirtualPid, "virtual (simulated) time");
     for (const auto& e : events_) {
       if (e.has_virtual) write_event(w, e, kVirtualPid, e.vts_us, e.vdur_us);
     }
-  }
-  w.end_array();
-  w.kv("displayTimeUnit", "ms");
-  w.end_object();
-}
-
-std::string Tracer::to_chrome_json() const {
-  JsonWriter w;
-  write_chrome_json(w);
-  return w.take();
-}
-
-bool Tracer::write(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string json = to_chrome_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
+  });
 }
 
 Tracer& global_tracer() {

@@ -57,12 +57,8 @@ class Tracer {
   const std::vector<TraceEvent>& events() const { return events_; }
   void clear() { events_.clear(); }
 
-  /// {"traceEvents":[...]} — the envelope Perfetto and chrome://tracing load.
+  /// The recorded spans as a chrome_trace() document.
   std::string to_chrome_json() const;
-  void write_chrome_json(JsonWriter& w) const;
-
-  /// Writes to_chrome_json() to `path`; returns false on I/O failure.
-  bool write(const std::string& path) const;
 
  private:
   bool enabled_ = false;
@@ -70,6 +66,15 @@ class Tracer {
   std::function<std::uint64_t()> virtual_clock_;
   std::vector<TraceEvent> events_;
 };
+
+/// The one Chrome trace-event envelope every trace artifact uses (spans,
+/// request waterfalls, sampler counters): {"traceEvents":[...],
+/// "displayTimeUnit":"ms"}, the document Perfetto and chrome://tracing
+/// load. `events` appends the array's elements.
+std::string chrome_trace(const std::function<void(JsonWriter&)>& events);
+
+/// One "ph":"M" metadata event naming the track of process `pid`.
+void write_process_name(JsonWriter& w, int pid, const char* name);
 
 /// Process-wide tracer: the default sink, so protocol modules can open
 /// spans without plumbing a handle through every constructor.

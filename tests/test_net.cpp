@@ -203,11 +203,11 @@ TEST(Simulator, DeterministicAcrossRuns) {
     sim.connect("a", "c", 13);
     sim.send(Packet{"a", "b", Bytes(3), 1, "x"});
     sim.send(Packet{"a", "c", Bytes(5), 2, "y"});
-    sim.run();
     std::string log;
-    for (const auto& e : sim.trace()) {
+    sim.add_wiretap([&log](const TraceEntry& e) {
       log += std::to_string(e.time) + e.src + e.dst + ";";
-    }
+    });
+    sim.run();
     return log;
   };
   EXPECT_EQ(run_once(), run_once());
@@ -256,12 +256,16 @@ TEST(Simulator, BandwidthIsPerLink) {
   EXPECT_EQ(c.times.at(0), 1000u);
 }
 
-TEST(Simulator, TraceRecordingOffKeepsCountersAndWiretaps) {
+// Wiretaps are the only ordered per-delivery sink: they see every delivery
+// in order, while the metrics hold aggregates only — no series per
+// address or per link.
+TEST(Simulator, CountersAndWiretapsSeeEveryDelivery) {
   Simulator sim;
+  obs::Registry reg;
+  sim.set_metrics(reg);
   EchoNode a("a", false), b("b", false);
   sim.add_node(a);
   sim.add_node(b);
-  sim.set_trace_recording(false);
 
   std::vector<TraceEntry> tapped;
   sim.add_wiretap([&](const TraceEntry& e) { tapped.push_back(e); });
@@ -269,22 +273,28 @@ TEST(Simulator, TraceRecordingOffKeepsCountersAndWiretaps) {
   sim.send(Packet{"a", "b", Bytes(28), 2, "t"});
   sim.run();
 
-  // The in-memory history is off, but totals and taps see every delivery.
-  EXPECT_TRUE(sim.trace().empty());
   EXPECT_EQ(sim.packets_delivered(), 2u);
   EXPECT_EQ(sim.bytes_delivered(), 128u);
   ASSERT_EQ(tapped.size(), 2u);
   EXPECT_EQ(tapped[0].size, 100u);
+  EXPECT_EQ(tapped[0].src, "a");
+  EXPECT_EQ(tapped[0].dst, "b");
+  EXPECT_EQ(tapped[0].protocol, "t");
   EXPECT_EQ(tapped[1].context, 2u);
   EXPECT_EQ(b.received.size(), 2u);
 
-  // Re-enabling resumes accumulation from here.
-  sim.set_trace_recording(true);
+  // A second run keeps counting; the tap stays attached.
   sim.send(Packet{"a", "b", Bytes(1), 3, "t"});
   sim.run();
-  ASSERT_EQ(sim.trace().size(), 1u);
-  EXPECT_EQ(sim.trace()[0].context, 3u);
+  ASSERT_EQ(tapped.size(), 3u);
+  EXPECT_EQ(tapped[2].context, 3u);
   EXPECT_EQ(sim.packets_delivered(), 3u);
+  EXPECT_EQ(reg.counter("packets_delivered").value(), 3u);
+  EXPECT_EQ(reg.counter("bytes_delivered").value(), 129u);
+  EXPECT_EQ(reg.histogram("delivery_latency_us").count(), 3u);
+  for (const obs::SnapshotEntry& e : reg.snapshot().entries) {
+    EXPECT_TRUE(e.labels.empty()) << e.name;
+  }
 }
 
 TEST(Simulator, InternedButNodelessDestinationThrows) {

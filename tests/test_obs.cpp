@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "net/sim.hpp"
+#include "net/tracing.hpp"
 #include "obs/json.hpp"
 #include "obs/latency.hpp"
 #include "obs/log.hpp"
@@ -219,37 +220,19 @@ TEST(Metrics, OpCounterSurvivesConcurrentSwaps) {
             static_cast<std::uint64_t>(kThreads) * kIncs);
 }
 
-TEST(Metrics, HistogramQuantilesUniform) {
-  // 100 observations 1..100 into decade-ish buckets: the interpolated
-  // quantiles should land near the exact order statistics.
-  obs::Histogram h({10, 20, 30, 40, 50, 60, 70, 80, 90, 100});
-  for (int i = 1; i <= 100; ++i) h.observe(i);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_EQ(h.min(), 1.0);
-  EXPECT_EQ(h.max(), 100.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 50.5);
-  EXPECT_NEAR(h.quantile(0.50), 50.0, 10.0);
-  EXPECT_NEAR(h.quantile(0.95), 95.0, 10.0);
-  EXPECT_NEAR(h.quantile(0.99), 99.0, 10.0);
-  // Monotone in q.
-  EXPECT_LE(h.quantile(0.5), h.quantile(0.95));
-  EXPECT_LE(h.quantile(0.95), h.quantile(0.99));
-}
-
-TEST(Metrics, HistogramOverflowBucketReportsMax) {
-  obs::Histogram h({1.0});  // everything above 1 overflows
-  h.observe(5000);
-  h.observe(9000);
-  EXPECT_EQ(h.quantile(0.99), 9000.0);
-}
-
 TEST(Metrics, HistogramEmptyIsZero) {
-  obs::Histogram h(obs::Histogram::default_bounds());
+  obs::Registry reg;
+  const obs::LatencyRecorder& h = reg.histogram("lat");
   EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.quantile(0.5), 0.0);
-  EXPECT_EQ(h.min(), 0.0);
-  EXPECT_EQ(h.max(), 0.0);
-  EXPECT_EQ(h.mean(), 0.0);
+  EXPECT_EQ(h.quantile(0.5), 0u);
+  EXPECT_EQ(h.min(), 0u);
+  EXPECT_EQ(h.max(), 0u);
+  const obs::Snapshot snap = reg.snapshot();
+  const obs::SnapshotEntry* e = snap.find("lat");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->value, 0.0);
+  EXPECT_EQ(e->min, 0.0);
+  EXPECT_EQ(e->p99, 0.0);
 }
 
 TEST(Metrics, ScopedSnapshotAndReset) {
@@ -257,7 +240,7 @@ TEST(Metrics, ScopedSnapshotAndReset) {
   reg.counter("top").inc(7);
   reg.scope("sim").counter("packets").inc(2);
   reg.scope("sim").gauge("depth").set(4);
-  reg.scope("sim").histogram("lat").observe(10);
+  reg.scope("sim").histogram("lat").record(10);
 
   obs::Snapshot snap = reg.snapshot();
   const obs::SnapshotEntry* top = snap.find("top");
@@ -282,30 +265,36 @@ TEST(Metrics, ScopedSnapshotAndReset) {
 }
 
 TEST(Metrics, HistogramSingleSampleQuantileIsTheSample) {
-  obs::Histogram h(obs::Histogram::default_bounds());
-  h.observe(37.5);
-  // One sample: every quantile IS that sample (no interpolation against a
-  // phantom second observation).
-  EXPECT_EQ(h.quantile(0.0), 37.5);
-  EXPECT_EQ(h.quantile(0.5), 37.5);
-  EXPECT_EQ(h.quantile(0.99), 37.5);
-  EXPECT_EQ(h.quantile(1.0), 37.5);
+  obs::Registry reg;
+  reg.histogram("lat").record(37'501);
+  // One sample: every quantile IS that sample, although its bucket spans
+  // 36'864..40'959 — min and max are exact and quantiles clamp to them.
+  const obs::Snapshot snap = reg.snapshot();
+  const obs::SnapshotEntry* e = snap.find("lat");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->value, 1.0);
+  EXPECT_EQ(e->min, 37'501.0);
+  EXPECT_EQ(e->max, 37'501.0);
+  EXPECT_EQ(e->p50, 37'501.0);
+  EXPECT_EQ(e->p95, 37'501.0);
+  EXPECT_EQ(e->p99, 37'501.0);
 }
 
 TEST(Metrics, QuantilesClampToObservedRange) {
-  obs::Histogram h({10, 20, 30});
-  h.observe(12);
-  h.observe(13);
+  obs::Registry reg;
+  obs::LatencyRecorder& h = reg.histogram("lat");
+  h.record(100);  // both land in the 96..103 bucket
+  h.record(101);
   for (double q : {0.0, 0.25, 0.5, 0.95, 1.0}) {
-    EXPECT_GE(h.quantile(q), 12.0) << q;
-    EXPECT_LE(h.quantile(q), 13.0) << q;
+    EXPECT_GE(h.quantile(q), 100u) << q;
+    EXPECT_LE(h.quantile(q), 101u) << q;
   }
 }
 
 TEST(Metrics, RegistryJsonIsParseable) {
   obs::Registry reg;
   reg.counter("ops", {{"kind", "seal"}}).inc(5);
-  reg.scope("sub").histogram("h").observe(3);
+  reg.scope("sub").histogram("h").record(3);
   obs::JsonWriter w;
   reg.write_json(w);
   obs::JsonValue v;
@@ -315,6 +304,8 @@ TEST(Metrics, RegistryJsonIsParseable) {
   EXPECT_EQ(v.at("ops{kind=seal}").number, 5.0);
   ASSERT_TRUE(v.has("sub.h"));
   EXPECT_EQ(v.at("sub.h").at("count").number, 1.0);
+  EXPECT_EQ(v.at("sub.h").at("max").number, 3.0);
+  EXPECT_FALSE(v.at("sub.h").has("sum"));
 }
 
 // ---- Prometheus exposition ------------------------------------------------
@@ -324,8 +315,8 @@ TEST(Metrics, PrometheusExposition) {
   reg.counter("ops", {{"kind", "seal"}}).inc(5);
   reg.gauge("depth").set(9);
   reg.gauge("depth").set(4);  // peak stays 9
-  reg.scope("sim").histogram("lat_us", {}, {10, 100}).observe(7);
-  reg.scope("sim").histogram("lat_us", {}, {10, 100}).observe(5000);
+  reg.scope("sim").histogram("lat_us").record(7);
+  reg.scope("sim").histogram("lat_us").record(5000);
 
   const std::string text = obs::metrics_to_prometheus(reg);
   EXPECT_NE(text.find("# TYPE dcpl_ops counter"), std::string::npos);
@@ -333,14 +324,35 @@ TEST(Metrics, PrometheusExposition) {
   EXPECT_NE(text.find("# TYPE dcpl_depth gauge"), std::string::npos);
   EXPECT_NE(text.find("dcpl_depth 4"), std::string::npos);
   EXPECT_NE(text.find("dcpl_depth_peak 9"), std::string::npos);
-  // Histogram buckets are cumulative and end in +Inf == count.
-  EXPECT_NE(text.find("dcpl_sim_lat_us_bucket{le=\"10\"} 1"),
+  // Histogram buckets are cumulative, one edge per non-empty bucket (its
+  // upper edge: 7 is exact, 5000 lies in 4608..5119), and end in
+  // +Inf == count. The recorder keeps no sum.
+  EXPECT_NE(text.find("# TYPE dcpl_sim_lat_us histogram\n"
+                      "dcpl_sim_lat_us_bucket{le=\"7\"} 1\n"
+                      "dcpl_sim_lat_us_bucket{le=\"5119\"} 2\n"
+                      "dcpl_sim_lat_us_bucket{le=\"+Inf\"} 2\n"
+                      "dcpl_sim_lat_us_count 2\n"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("dcpl_sim_lat_us_bucket{le=\"+Inf\"} 2"),
-            std::string::npos);
-  EXPECT_NE(text.find("dcpl_sim_lat_us_count 2"), std::string::npos);
-  EXPECT_NE(text.find("dcpl_sim_lat_us_sum 5007"), std::string::npos);
+  EXPECT_EQ(text.find("_sum"), std::string::npos);
+}
+
+// A gauge named `<x>_peak` owns that family: the `_peak` companion of gauge
+// `<x>` must not expose it a second time (one # TYPE per family).
+TEST(Metrics, PrometheusPeakCompanionNeverDuplicatesAFamily) {
+  obs::Registry reg;
+  reg.gauge("depth").set(3);
+  reg.gauge("depth_peak").set(7);
+  const std::string text = obs::metrics_to_prometheus(reg);
+  std::size_t types = 0;
+  for (std::size_t at = text.find("# TYPE dcpl_depth_peak gauge\n");
+       at != std::string::npos;
+       at = text.find("# TYPE dcpl_depth_peak gauge\n", at + 1)) {
+    ++types;
+  }
+  EXPECT_EQ(types, 1u) << text;
+  EXPECT_NE(text.find("dcpl_depth_peak 7\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("dcpl_depth_peak_peak 7\n"), std::string::npos);
 }
 
 TEST(Metrics, PrometheusEmptyRegistryIsEmptyText) {
@@ -370,14 +382,14 @@ TEST(Metrics, PrometheusEscapesLabelValues) {
 
 TEST(Metrics, PrometheusHistogramWithOneSample) {
   obs::Registry reg;
-  reg.histogram("lat", {}, {10, 100}).observe(50);
+  reg.histogram("lat").record(50);
   const std::string text = obs::metrics_to_prometheus(reg);
-  EXPECT_NE(text.find("dcpl_lat_bucket{le=\"10\"} 0"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("dcpl_lat_bucket{le=\"100\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("dcpl_lat_bucket{le=\"+Inf\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("dcpl_lat_count 1"), std::string::npos);
-  EXPECT_NE(text.find("dcpl_lat_sum 50"), std::string::npos);
+  // 50 lies in the 48..51 bucket; empty buckets get no edge.
+  EXPECT_EQ(text,
+            "# TYPE dcpl_lat histogram\n"
+            "dcpl_lat_bucket{le=\"51\"} 1\n"
+            "dcpl_lat_bucket{le=\"+Inf\"} 1\n"
+            "dcpl_lat_count 1\n");
 }
 
 // ---- Time-series sampler --------------------------------------------------
@@ -568,12 +580,13 @@ TEST(Trace, SimulatorRunProducesVirtualTimeTrace) {
     void on_packet(const net::Packet&, net::Simulator&) override {}
   };
 
-  obs::Tracer tracer;
+  // The simulator emits into the global tracer.
+  obs::Tracer& tracer = obs::global_tracer();
+  tracer.clear();
   tracer.enable();
   obs::Registry metrics;
 
   net::Simulator sim;
-  sim.set_tracer(tracer);
   sim.set_metrics(metrics);
   Sink a("a"), b("b");
   sim.add_node(a);
@@ -583,10 +596,14 @@ TEST(Trace, SimulatorRunProducesVirtualTimeTrace) {
     sim.send(net::Packet{"a", "b", Bytes(64, 0xab), 1, "test"});
   });
   sim.run();
+  tracer.enable(false);
+  const std::vector<obs::TraceEvent> events = tracer.events();
+  const std::string chrome = tracer.to_chrome_json();
+  tracer.clear();
 
-  ASSERT_FALSE(tracer.events().empty());
+  ASSERT_FALSE(events.empty());
   bool saw_delivery = false;
-  for (const auto& e : tracer.events()) {
+  for (const auto& e : events) {
     if (e.name == "deliver:test") {
       saw_delivery = true;
       EXPECT_TRUE(e.has_virtual);
@@ -596,7 +613,7 @@ TEST(Trace, SimulatorRunProducesVirtualTimeTrace) {
   EXPECT_TRUE(saw_delivery);
 
   obs::JsonValue v;
-  ASSERT_TRUE(obs::JsonParser::parse(tracer.to_chrome_json(), v));
+  ASSERT_TRUE(obs::JsonParser::parse(chrome, v));
   EXPECT_FALSE(v.at("traceEvents").array.empty());
 
   // The redirected registry saw the delivery too.
@@ -607,6 +624,41 @@ TEST(Trace, SimulatorRunProducesVirtualTimeTrace) {
   const obs::SnapshotEntry* by = snap.find("bytes_delivered");
   ASSERT_NE(by, nullptr);
   EXPECT_EQ(by->value, 64.0);
+}
+
+// Spans, request waterfalls and sampler counters share one envelope, so
+// every trace file loads the same way and validates the same way.
+TEST(Trace, EveryTraceArtifactSharesOneEnvelope) {
+  obs::Tracer spans;
+  spans.enable();
+  spans.set_virtual_clock([] { return std::uint64_t{7}; });
+  { obs::Span s(spans, "op"); }
+
+  net::LatencyTracer waterfall(/*waterfall_period=*/1);
+  waterfall.add_span({obs::kTraceWaterfallBit | 1, 0, 0, 10, 25});
+
+  obs::TimeSeriesSampler sampler(100);
+  obs::Registry reg;
+  sampler.add_counter("n", reg.counter("n"));
+  sampler.sample_now(0);
+
+  const std::string docs[] = {spans.to_chrome_json(),
+                              waterfall.to_chrome_json({"req"}),
+                              sampler.to_chrome_json()};
+  const char* phases[] = {"X", "X", "C"};
+  for (std::size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE(i);
+    obs::JsonValue v;
+    ASSERT_TRUE(obs::JsonParser::parse(docs[i], v));
+    EXPECT_EQ(v.at("displayTimeUnit").string, "ms");
+    bool seen = false;
+    for (const auto& e : v.at("traceEvents").array) {
+      if (e.at("ph").string == "M") continue;
+      EXPECT_EQ(e.at("ph").string, phases[i]);
+      seen = true;
+    }
+    EXPECT_TRUE(seen);
+  }
 }
 
 // ---- LatencyRecorder ------------------------------------------------------
@@ -678,34 +730,6 @@ TEST(LatencyRecorder, QuantilesTrackExactQuantilesWithinLogBucketError) {
     EXPECT_GE(got, exact) << "q=" << q;
     EXPECT_LE(got, exact + exact / obs::LatencyRecorder::kSubBuckets + 1)
         << "q=" << q;
-  }
-}
-
-// The bounds-based obs::Histogram on the identical stream: with power-of-two
-// bounds its quantile error is at most 2x, strictly looser than the
-// recorder's 12.5% — the reason the tracing plane gets its own recorder
-// instead of reusing Histogram (which also needs its range chosen up front
-// and is single-writer).
-TEST(LatencyRecorder, TighterThanBoundsHistogramOnIdenticalStream) {
-  const std::vector<std::uint64_t> stream = latency_stream(20'000);
-  obs::LatencyRecorder rec;
-  std::vector<double> bounds;
-  for (double b = 1; b <= 1e9; b *= 2) bounds.push_back(b);
-  obs::Histogram hist(bounds);
-  for (std::uint64_t v : stream) {
-    rec.record(v);
-    hist.observe(static_cast<double>(v));
-  }
-  EXPECT_EQ(rec.count(), hist.count());
-  for (double q : {0.5, 0.9, 0.99, 0.999}) {
-    const double exact = static_cast<double>(exact_quantile(stream, q));
-    const double h = hist.quantile(q);
-    const double r = static_cast<double>(rec.quantile(q));
-    ASSERT_GT(exact, 0.0);
-    EXPECT_LE(h, exact * 2.0 + 1) << "q=" << q;       // log2-bounds: <= 2x
-    EXPECT_GE(h, exact * 0.5 - 1) << "q=" << q;
-    EXPECT_LE(r, exact * 1.125 + 1) << "q=" << q;     // recorder: <= 12.5%
-    EXPECT_GE(r, exact) << "q=" << q;
   }
 }
 

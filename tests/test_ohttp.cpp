@@ -86,6 +86,37 @@ TEST(Ohttp, ManyClientsManyRequests) {
 }
 
 // The paper's §3.2.5-style OHTTP analysis: relay (▲, ⊙), gateway (△, ●).
+// The metrics exporter is a party too, so it must not hold a client's
+// address (▲) next to the gateway and origin series. Per-link byte counters
+// labeled "client->relay" used to put one there for every client.
+TEST(Ohttp, MetricsExportHoldsNoClientAddress) {
+  Fixture f(3);
+  obs::Registry reg;
+  f.sim.set_metrics(reg);
+  int answered = 0;
+  for (auto& c : f.clients) {
+    c->fetch(f.request("/p"), f.sim,
+             [&](const http::Response&) { ++answered; });
+  }
+  f.sim.run();
+  ASSERT_EQ(answered, 3);
+
+  const obs::Snapshot snap = reg.snapshot();
+  ASSERT_NE(snap.find("packets_delivered"), nullptr);
+  const std::string prom = obs::metrics_to_prometheus(reg);
+  ASSERT_FALSE(prom.empty());
+  for (const auto& c : f.clients) {
+    const std::string& addr = c->address();
+    for (const obs::SnapshotEntry& e : snap.entries) {
+      for (const auto& [key, value] : e.labels) {
+        EXPECT_EQ(value.find(addr), std::string::npos)
+            << e.name << "{" << key << "=" << value << "}";
+      }
+    }
+    EXPECT_EQ(prom.find(addr), std::string::npos) << addr;
+  }
+}
+
 TEST(Ohttp, DerivedTuplesMatchDecouplingPrinciple) {
   Fixture f;
   f.clients[0]->fetch(f.request("/secret-search"), f.sim, nullptr);

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -239,6 +240,8 @@ RunResult run_workload(const RunOptions& opt) {
   if (opt.auto_affinity) {
     sim.set_auto_affinity(Simulator::AffinityPolicy::kMinCut);
   }
+  std::vector<TraceEntry> trace;
+  sim.add_wiretap([&trace](const TraceEntry& e) { trace.push_back(e); });
   for (auto& c : clients) c->kickoff(sim);
   const Time end = sim.run();
   if (opt.with_tracer) sim.set_latency_tracer(nullptr);
@@ -261,7 +264,7 @@ RunResult run_workload(const RunOptions& opt) {
   res.sorted_logs[sink.address()] = sink.log;
 
   std::uint64_t h = kFnvSeed;
-  for (const TraceEntry& e : sim.trace()) {
+  for (const TraceEntry& e : trace) {
     h = fnv1a_u64(h, e.time);
     h = fnv1a_str(h, e.src);
     h = fnv1a_str(h, e.dst);
@@ -654,6 +657,117 @@ TEST(ShardApi, SerialRunLeavesShardStatsEmptyAndSharedQueueReusable) {
   const RunResult res = run_workload(opt);
   EXPECT_EQ(res.shard_stats.shards, 0u);  // never populated by serial runs
   EXPECT_GT(res.packets, 0u);
+}
+
+// --- Queries from worker handlers -----------------------------------------
+
+/// What one delivery's handler saw when it asked about breaches and links.
+struct Query {
+  Time now;
+  bool breached;
+  std::optional<Time> breached_at;
+  bool linked;
+  std::optional<Time> latency;
+  bool from_ghost;
+  bool src_linked;
+  bool stranger_breached;
+
+  bool operator==(const Query&) const = default;
+};
+
+/// Bounces a hop counter with its peer. Every delivery queries the breach
+/// and link tables, then replies from a source name nobody has used yet,
+/// so its worker interns a new address while other workers are querying.
+class QueryNode final : public Node {
+ public:
+  QueryNode(Address name, Address peer)
+      : Node(std::move(name)), peer_(std::move(peer)) {}
+
+  std::vector<Query> log;
+
+  void on_packet(const Packet& p, Simulator& sim) override {
+    log.push_back({sim.now(), sim.is_breached("target"),
+                   sim.breached_at("target"), sim.has_link(address(), peer_),
+                   sim.link_latency(peer_, address()),
+                   p.src.find(".ghost") != std::string::npos,
+                   sim.has_link(p.src, address()), sim.is_breached("nobody")});
+    if (p.payload.empty() || p.payload[0] == 0) return;
+    Bytes next = p.payload;
+    --next[0];
+    sim.send(Packet{address() + ".ghost" + std::to_string(++sent_), peer_,
+                    std::move(next), 0, "q"});
+  }
+
+ private:
+  Address peer_;
+  std::uint32_t sent_ = 0;
+};
+
+constexpr Time kBreach = 20'000;
+
+TEST(ShardQueries, WorkerHandlersQueryWhileNamesInternAndABreachFires) {
+  const auto run = [](std::uint32_t shards) {
+    Simulator sim;
+    std::vector<std::unique_ptr<QueryNode>> nodes;
+    for (int i = 0; i < 8; ++i) {
+      nodes.push_back(std::make_unique<QueryNode>(
+          "q" + std::to_string(i), "q" + std::to_string(i ^ 1)));
+      sim.add_node(*nodes.back());
+    }
+    for (int i = 0; i < 8; i += 2) {
+      const Address a = "q" + std::to_string(i);
+      const Address b = "q" + std::to_string(i + 1);
+      sim.connect(a, b, 1000 + 100 * static_cast<Time>(i));
+      // Every pair straddles two shards.
+      sim.set_shard_affinity(a, static_cast<std::uint32_t>(i / 2));
+      sim.set_shard_affinity(b, static_cast<std::uint32_t>(i / 2 + 1));
+    }
+    FaultPlan plan(1);
+    plan.breach("target", kBreach);
+    plan.breach("target", kBreach + 5'000);  // not the first: never fires
+    sim.set_fault_plan(std::move(plan));
+    std::uint32_t fired = 0;
+    sim.set_breach_handler([&fired](const BreachEvent&) { ++fired; });
+    sim.set_shards(shards);
+    for (int i = 0; i < 8; i += 2) {
+      const Address a = "q" + std::to_string(i);
+      sim.at_node(a, 0, [&sim, a, i] {
+        sim.send(Packet{a, "q" + std::to_string(i + 1),
+                        Bytes{static_cast<std::uint8_t>(40 + i)}, 0, "q"});
+      });
+    }
+    sim.run();
+    EXPECT_EQ(fired, 1u);
+    EXPECT_EQ(sim.fault_stats().breaches_fired, 1u);
+    EXPECT_EQ(sim.breached_at("target"), kBreach);
+    std::map<Address, std::vector<Query>> logs;
+    for (const auto& n : nodes) logs[n->address()] = n->log;
+    return logs;
+  };
+
+  const auto serial = run(1);
+  std::size_t before = 0, after = 0;
+  for (const auto& [addr, log] : serial) {
+    ASSERT_GE(log.size(), 20u) << addr;
+    for (const Query& q : log) {
+      // A party counts as breached from its breach time on, by the
+      // querying handler's own clock.
+      const bool due = q.now >= kBreach;
+      EXPECT_EQ(q.breached, due) << addr << " t=" << q.now;
+      EXPECT_EQ(q.breached_at, due ? std::optional<Time>(kBreach)
+                                   : std::nullopt);
+      EXPECT_TRUE(q.linked);
+      EXPECT_TRUE(q.latency.has_value());
+      EXPECT_EQ(q.src_linked, !q.from_ghost);
+      EXPECT_FALSE(q.stranger_breached);
+      ++(due ? after : before);
+    }
+  }
+  EXPECT_GT(before, 0u);
+  EXPECT_GT(after, 0u);
+  // Four shards give the same answers, run after run.
+  EXPECT_EQ(run(4), serial);
+  EXPECT_EQ(run(4), serial);
 }
 
 // --- zero-copy wire path (DESIGN.md §14) ----------------------------------

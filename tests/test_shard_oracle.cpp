@@ -10,9 +10,11 @@
 // shard, then on 2 and 4 shards under both placement policies, and every
 // shard-count-independent output must match the 1-shard run exactly:
 // end time, packet/byte totals, FaultStats, the sorted per-node reception
-// logs, the flow-ledger tuple fold and totals, and the bucket-level
-// latency digests. Stochastic impairments are left out on purpose: their
-// RNG streams are per shard, so they are only stable per count.
+// logs, the flow-ledger tuple fold and totals, the bucket-level latency
+// digests (tracer recorders and the registry's delivery_latency_us), and
+// the multiset of deliveries a wiretap saw. Stochastic impairments are
+// left out on purpose: their RNG streams are per shard, so they are only
+// stable per count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -265,13 +267,36 @@ struct Outcome {
   std::uint64_t traced = 0;
   std::string latency_summary;
   std::uint64_t latency_digest = kFnvSeed;
+  std::uint64_t delivery_latency_digest = kFnvSeed;
+  std::uint64_t tap_digest = kFnvSeed;
+  std::uint64_t tapped = 0;
   std::uint64_t windows = 0;
 };
 
+/// Folds a recorder's exact state: count, min, max and every bucket.
+std::uint64_t recorder_digest(std::uint64_t h, const obs::LatencyRecorder& r) {
+  h = mix(h, r.count());
+  h = mix(h, r.min());
+  h = mix(h, r.max());
+  for (std::size_t i = 0; i < obs::LatencyRecorder::kBucketCount; ++i) {
+    h = mix(h, r.bucket(i));
+  }
+  return h;
+}
+
 Outcome run_scenario(const Scenario& s, const Config& cfg) {
   Simulator sim;
+  obs::Registry metrics;
+  sim.set_metrics(metrics);
   obs::FlowLedger ledger;
   sim.set_flow(&ledger);
+  // What a wiretap saw, as a multiset: taps see (time, seq) order serially
+  // and (time, shard, seq) order sharded, and contexts are shard-namespaced.
+  std::vector<std::tuple<Time, Address, Address, std::size_t, std::string>>
+      tapped;
+  sim.add_wiretap([&tapped](const TraceEntry& e) {
+    tapped.emplace_back(e.time, e.src, e.dst, e.size, e.protocol);
+  });
   // Waterfall capture off: span sampling keys on engine-specific trace
   // sequence numbers; the recorders are count-independent.
   LatencyTracer tracer(/*waterfall_period=*/0);
@@ -353,6 +378,18 @@ Outcome run_scenario(const Scenario& s, const Config& cfg) {
   out.flow_compromises = ledger.compromises();
   out.flow_deduped = ledger.deduped();
 
+  std::sort(tapped.begin(), tapped.end());
+  out.tapped = tapped.size();
+  for (const auto& [time, src, dst, size, protocol] : tapped) {
+    out.tap_digest = mix(out.tap_digest, time);
+    out.tap_digest = mix(out.tap_digest, src);
+    out.tap_digest = mix(out.tap_digest, dst);
+    out.tap_digest = mix(out.tap_digest, size);
+    out.tap_digest = mix(out.tap_digest, protocol);
+  }
+  out.delivery_latency_digest = recorder_digest(
+      out.delivery_latency_digest, metrics.histogram("delivery_latency_us"));
+
   // Keyed by protocol name: under shards, protocols are interned in
   // thread-timing order, so raw ProtocolIds are not comparable.
   const std::vector<std::string> names = sim.protocol_names();
@@ -366,11 +403,7 @@ Outcome run_scenario(const Scenario& s, const Config& cfg) {
   std::ostringstream summary;
   for (const auto& [name, rec] : recs) {
     out.latency_digest = mix(out.latency_digest, name);
-    out.latency_digest = mix(out.latency_digest, rec->min());
-    out.latency_digest = mix(out.latency_digest, rec->max());
-    for (std::size_t i = 0; i < obs::LatencyRecorder::kBucketCount; ++i) {
-      out.latency_digest = mix(out.latency_digest, rec->bucket(i));
-    }
+    out.latency_digest = recorder_digest(out.latency_digest, *rec);
     summary << name << "=" << rec->count() << "/" << rec->max() << ";";
     if (name.rfind("e2e:", 0) == 0) out.traced += rec->count();
   }
@@ -396,6 +429,9 @@ void expect_same(const Outcome& want, const Outcome& got) {
   EXPECT_EQ(got.traced, want.traced);
   EXPECT_EQ(got.latency_summary, want.latency_summary);
   EXPECT_EQ(got.latency_digest, want.latency_digest);
+  EXPECT_EQ(got.delivery_latency_digest, want.delivery_latency_digest);
+  EXPECT_EQ(got.tapped, want.tapped);
+  EXPECT_EQ(got.tap_digest, want.tap_digest);
 }
 
 constexpr std::uint64_t kSeeds = 24;
@@ -406,6 +442,7 @@ TEST(EngineOracle, ShardedRunsMatchOneShardOnRandomScenarios) {
     const Scenario s = draw_scenario(seed);
     const Outcome serial = run_scenario(s, {});
     ASSERT_GT(serial.packets, 0u) << "seed=" << seed;
+    EXPECT_EQ(serial.tapped, serial.packets);  // the tap saw every delivery
     EXPECT_EQ(serial.windows, 0u);  // the 1-shard run opens no windows
     delivered += serial.packets;
     faulted += serial.faults.partition_dropped + serial.faults.offline_dropped;

@@ -17,6 +17,7 @@ namespace {
 
 struct City {
   net::Simulator sim;
+  std::vector<net::TraceEntry> trace;  // every delivery, via a wiretap
   core::ObservationLog log;
   core::AddressBook book;
 
@@ -50,6 +51,7 @@ struct City {
   }
 
   City() {
+    sim.add_wiretap([this](const net::TraceEntry& e) { trace.push_back(e); });
     auto benign = [&](const std::string& a) {
       book.set(a, core::benign_identity("addr:" + a));
     };
@@ -183,7 +185,7 @@ struct City {
 
     // Digest the full trace for determinism checks.
     Bytes blob;
-    for (const auto& e : sim.trace()) {
+    for (const auto& e : trace) {
       append(blob, be_encode(e.time, 8));
       append(blob, to_bytes(e.src + ">" + e.dst + ";"));
       append(blob, be_encode(e.size, 4));

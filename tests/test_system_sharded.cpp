@@ -26,6 +26,7 @@ constexpr int kRounds = 3;
 /// nodes can spread across shards without sharing a log.
 struct Estate {
   net::Simulator sim;
+  std::vector<net::TraceEntry> trace;  // every delivery, via a wiretap
   core::AddressBook book;
   std::vector<std::unique_ptr<core::ObservationLog>> logs;
 
@@ -40,6 +41,7 @@ struct Estate {
   }
 
   Estate() {
+    sim.add_wiretap([this](const net::TraceEntry& e) { trace.push_back(e); });
     book.set("web.example", core::benign_identity("addr:web.example"));
     book.set("gw.example", core::benign_identity("addr:gw.example"));
     book.set("relay.example", core::benign_identity("addr:relay.example"));
@@ -162,7 +164,7 @@ TEST(SystemSharded, RepeatedShardedRunsAreBitStable) {
         h *= 0x100000001B3ull;
       }
     };
-    for (const net::TraceEntry& t : e.sim.trace()) {
+    for (const net::TraceEntry& t : e.trace) {
       mix(t.time);
       mix(t.size);
       mix(t.context);
