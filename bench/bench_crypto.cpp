@@ -1,6 +1,7 @@
 // E6/E13: cost of the crypto substrate every decoupled hop pays — hashes,
 // AEAD (including the fused in-place seal the wire path uses), X25519, HPKE
-// single-shot vs multi-message session contexts, and RSA blind signatures.
+// single-shot vs multi-message session contexts, and RSA key generation and
+// blind signatures (with the Montgomery-product count of one signature).
 //
 // Unlike the paper-table benches this one has no expected column; it is a
 // throughput report. It emits the shared dcpl-bench-report/2 schema with a
@@ -21,6 +22,7 @@
 #include "crypto/x25519.hpp"
 #include "hpke/hpke.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "report_util.hpp"
 #include "systems/channel.hpp"
 
@@ -132,9 +134,13 @@ int main(int argc, char** argv) {
   }
 
   // --- RSA blind signatures (Privacy Pass substrate) ------------------------
+  std::uint64_t blind_sign_mont_muls = 0;
   {
     ChaChaRng rng(6);
     RsaPrivateKey key = rsa_generate(1024, rng);
+    run("rsa1024_keygen", 0, [&](std::uint64_t) {
+      consume(rsa_generate(1024, rng).pub.n.limbs().front());
+    });
     Bytes msg = rng.bytes(32);
     run("rsa1024_blind", 0,
         [&](std::uint64_t) { consume(blind(key.pub, msg, rng).blinded_message); });
@@ -143,9 +149,17 @@ int main(int argc, char** argv) {
       auto sig = blind_sign(key, st.blinded_message);
       consume(sig.ok() ? BytesView(sig.value()) : BytesView{});
     });
-    Bytes sig = finalize(key.pub, msg, st,
-                         blind_sign(key, st.blinded_message).value())
-                    .value();
+    // Host-independent cost of one signature: Montgomery products, which
+    // the fixed-window schedule makes a function of the key size alone.
+    const obs::Counter& mont_muls = obs::op_counter("crypto", "mont_mul");
+    const std::uint64_t before = mont_muls.value();
+    Bytes blind_sig = blind_sign(key, st.blinded_message).value();
+    blind_sign_mont_muls = mont_muls.value() - before;
+    run("rsa1024_finalize", 0, [&](std::uint64_t) {
+      auto sig = finalize(key.pub, msg, st, blind_sig);
+      consume(sig.ok() ? BytesView(sig.value()) : BytesView{});
+    });
+    Bytes sig = finalize(key.pub, msg, st, blind_sig).value();
     run("rsa1024_verify", 0, [&](std::uint64_t) {
       consume(static_cast<std::uint64_t>(blind_verify(key.pub, msg, sig)));
     });
@@ -157,8 +171,12 @@ int main(int argc, char** argv) {
   const double fused_gain = seal_ops > 0 ? seal_append_ops / seal_ops : 0;
   std::printf("\n  hpke context vs single-shot: %.1fx\n", amortization);
   std::printf("  fused seal_append vs seal:   %.2fx\n", fused_gain);
+  std::printf("  rsa1024_blind_sign:           %llu Montgomery products\n",
+              static_cast<unsigned long long>(blind_sign_mont_muls));
   report.value("crypto_hpke_amortization_x", amortization);
   report.value("crypto_fused_seal_gain_x", fused_gain);
+  report.value("crypto_rsa1024_blind_sign_mont_muls",
+               static_cast<double>(blind_sign_mont_muls));
 
   bool ok = true;
   for (const bench::TimedOp& r : ops) {

@@ -798,8 +798,21 @@ bool check_crypto(const JsonValue& r, bool required) {
       return fail("crypto ops_per_sec inconsistent with ns_per_op");
     }
   }
-  if (required && ops->object.empty()) {
-    return fail("crypto{} present but measured no ops");
+  if (!required) return true;
+  if (ops->object.empty()) return fail("crypto{} present but measured no ops");
+  // A fresh bench_crypto report carries the RSA key-generation and finalize
+  // rows and the blind-sign work count; a gate cannot lose them silently.
+  for (const char* name : {"rsa1024_keygen", "rsa1024_finalize"}) {
+    if (!ops->has(name)) {
+      std::fprintf(stderr, "report_check: crypto op %s missing\n", name);
+      return false;
+    }
+  }
+  const JsonValue* values = r.find("values");
+  const JsonValue* muls =
+      values ? values->find("crypto_rsa1024_blind_sign_mont_muls") : nullptr;
+  if (!muls || !muls->is_number() || muls->number <= 0) {
+    return fail("missing crypto_rsa1024_blind_sign_mont_muls");
   }
   return true;
 }

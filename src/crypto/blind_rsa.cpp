@@ -11,17 +11,20 @@ BlindingState blind(const RsaPublicKey& pub, BytesView message, Rng& rng) {
   Bytes em = pss_encode(message, em_bits, rng);
   BigInt m = BigInt::from_bytes_be(em);
 
-  // r uniform in [1, n) with gcd(r, n) = 1.
+  // r uniform in [1, n) with gcd(r, n) = 1: a failed inverse (r = 0 or a
+  // shared factor) draws again.
   BigInt r;
+  std::optional<BigInt> inv;
   do {
     r = BigInt::random_below(pub.n, rng);
-  } while (r.is_zero() || BigInt::gcd(r, pub.n) != BigInt(1));
+    inv = r.mod_inverse(pub.n);
+  } while (!inv);
 
   BigInt blinded = (m * r.mod_exp(pub.e, pub.n)) % pub.n;
 
   BlindingState state;
   state.blinded_message = blinded.to_bytes_be(pub.modulus_bytes());
-  state.inv = r.mod_inverse(pub.n);
+  state.inv = std::move(*inv);
   return state;
 }
 

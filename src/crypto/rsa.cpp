@@ -19,17 +19,22 @@ RsaPrivateKey rsa_generate(std::size_t bits, Rng& rng) {
 
     const BigInt one(1);
     BigInt phi = (p - one) * (q - one);
-    if (BigInt::gcd(e, phi) != one) continue;
+    // d = e^-1 mod phi through the odd modulus e: with
+    // k = e - (phi mod e)^-1 mod e, phi*k = -1 (mod e), so e divides
+    // 1 + phi*k and d = (1 + phi*k) / e < phi satisfies e*d = 1 (mod phi).
+    // No inverse means gcd(e, phi) != 1.
+    std::optional<BigInt> phi_inv = (phi % e).mod_inverse(e);
+    if (!phi_inv) continue;
 
     RsaPrivateKey key;
     key.pub.n = p * q;
     key.pub.e = e;
-    key.d = e.mod_inverse(phi);
+    key.d = (one + phi * (e - *phi_inv)) / e;
     key.p = p;
     key.q = q;
     key.dp = key.d % (p - one);
     key.dq = key.d % (q - one);
-    key.qinv = q.mod_inverse(p);
+    key.qinv = *q.mod_inverse(p);
     if (key.pub.n.bit_length() != bits) continue;  // top-bit trick failed
     return key;
   }
@@ -43,9 +48,9 @@ BigInt rsa_public_op(const RsaPublicKey& pub, const BigInt& m) {
 BigInt rsa_private_op(const RsaPrivateKey& priv, const BigInt& c) {
   if (c >= priv.pub.n) throw std::invalid_argument("rsa_private_op: c >= n");
   // CRT: m1 = c^dp mod p, m2 = c^dq mod q, h = qinv(m1-m2) mod p,
-  // m = m2 + h*q.
-  BigInt m1 = (c % priv.p).mod_exp(priv.dp, priv.p);
-  BigInt m2 = (c % priv.q).mod_exp(priv.dq, priv.q);
+  // m = m2 + h*q. The exponents are secret: fixed-window schedules.
+  BigInt m1 = Montgomery(priv.p).mod_exp_secret(c, priv.dp);
+  BigInt m2 = Montgomery(priv.q).mod_exp_secret(c, priv.dq);
   BigInt diff = (m1 + priv.p - (m2 % priv.p)) % priv.p;
   BigInt h = (priv.qinv * diff) % priv.p;
   return m2 + h * priv.q;
